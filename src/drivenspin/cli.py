@@ -226,6 +226,7 @@ def cmd_berry(args) -> tuple[dict, tuple]:
     """Geometric-phase curves vs theta: numerical route, closed form, difference."""
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
     cfg0 = _config_from(args)
+    cfg0.phase_branch()  # a bad branch fails the command; row errors are recorded
     rows = []
     worst = 0.0
     failed = 0
@@ -402,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--threads", type=int, default=1, help="scan worker threads")
+    parser.add_argument("--threads", type=int, default=1, help="scan worker threads (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="energy curves vs theta")
@@ -467,6 +468,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     except SystemExit as exc:  # argparse validation or --help
         return int(exc.code or 0)
     try:

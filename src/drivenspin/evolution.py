@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroFrequency
+from .errors import NonConverged, ZeroFrequency
 from .geometry import fold_phase
 from .qmodel import (
     SZ_TOTAL_DIAG,
@@ -84,6 +84,8 @@ def propagator_rk4(
         Number of RK4 steps, at least 1000; global error is O(n_steps^-4).
     return_drift : bool
         If true, also return the norm of the re-unitarization correction.
+
+    Raises NonConverged if the transfer-matrix product overflows.
     """
     _require_driven(cfg)
     n = int(n_steps)
@@ -104,11 +106,15 @@ def propagator_rk4(
     k3 = -1j * (h1 + 0.5 * dt * np.matmul(h1, k2))
     k4 = -1j * (h2 + dt * np.matmul(h2, k3))
     m = np.eye(4, dtype=complex) + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    while m.shape[0] > 1:
-        half = m.shape[0] // 2
-        paired = np.matmul(m[1 : 2 * half : 2], m[0 : 2 * half : 2])
-        m = paired if m.shape[0] % 2 == 0 else np.concatenate([paired, m[-1:]])
+    # Steps far too coarse for ||H|| t overflow; reported as NonConverged below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m.shape[0] > 1:
+            half = m.shape[0] // 2
+            paired = np.matmul(m[1 : 2 * half : 2], m[0 : 2 * half : 2])
+            m = paired if m.shape[0] % 2 == 0 else np.concatenate([paired, m[-1:]])
     u = m[0]
+    if not np.all(np.isfinite(u)):
+        raise NonConverged(f"RK4 transfer product overflowed: {n} steps over t = {t:.3e}")
     # polar projection onto the closest unitary
     w, _, vh = np.linalg.svd(u)
     unitary = w @ vh

@@ -426,33 +426,22 @@ def curvature_numeric(
 ) -> CurvatureSample:
     """Plaquette field strength around an h x h cell centered at (theta, varphi).
 
-    The four corner states are diagonalized independently; the cell phase
-    is gauge invariant and converges to ``curvature_closed`` as O(h^2).
+    The four corner states come from the grid band-state builders, which
+    diagonalize each corner independently; the cell phase is gauge
+    invariant and converges to ``curvature_closed`` as O(h^2).
     Cells centered at the poles reach slightly outside [0, pi], where the
     Hamiltonian family extends smoothly.
     """
     label = StateLabel(*label)
-    band = LABELS.index(label)
     th = np.array([theta - h / 2.0, theta + h / 2.0])
     ph = np.array([varphi - h / 2.0, varphi + h / 2.0])
     if regime == "adiabatic":
-        hm = _lab_hamiltonian(cfg.b, th[:, None], cfg.phi_l, cfg.phi_r, cfg.t_lr, ph[None, :])
-        values, vectors = eigh_stack(hm)
-        closed = _closed_energy_table(cfg, "adiabatic", th)
-        order, _ = _check_and_order(
-            values,
-            closed[:, None, :],
-            cfg.b,
-            lambda ix: f"theta={th[ix[0]]:.6f}, varphi={ph[ix[1]]:.6f}",
-        )
-        corner = np.take_along_axis(vectors, order[:, :, None, :], axis=-1)[..., band]
+        states, _ = _adiabatic_band_states(cfg, th, ph)
     elif regime == "nonadiabatic":
-        vectors, _ = _rotating_band_vectors(cfg, th)
-        vecs = vectors[..., band]  # (2, 4)
-        phases = np.exp(-1j * ph[:, None] * SZ_TOTAL_DIAG)  # (2, 4)
-        corner = phases[None, :, :] * vecs[:, None, :]
+        states, _ = _rotating_band_states(cfg, th, ph)
     else:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+    corner = states[..., LABELS.index(label)]
     u00, u01 = corner[0, 0], corner[0, 1]
     u10, u11 = corner[1, 0], corner[1, 1]
     plaq = (

@@ -157,6 +157,8 @@ def scan_diagram(
     """
     if n_b < 2 or n_omega < 2:
         raise ValueError("n_b and n_omega must both be at least 2")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     b_lo, b_hi = map(float, b_range)
     w_lo, w_hi = map(float, omega_range)
     if b_hi < b_lo or w_hi < w_lo:

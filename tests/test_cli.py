@@ -93,6 +93,28 @@ class TestErrors:
         code, _, err = run_cli(capsys, "spectrum", "--b", "2", "--phi", "0.3")
         assert code == 3
         assert json.loads(err)["error"]["name"] == "UnsupportedPhase"
+        code, _, err = run_cli(capsys, "berry", "--b", "2", "--phi", "pi/2")
+        assert code == 3
+        assert json.loads(err)["error"]["name"] == "UnsupportedPhase"
+
+    @pytest.mark.filterwarnings("error")
+    def test_rk4_overflow_is_computational_failure(self, capsys):
+        # omega = 1e-9 stretches the period to ~6e9 over a fixed 2000 RK4
+        # steps; the transfer product overflows
+        code, out, err = run_cli(
+            capsys, "evolve", "--b", "2", "--theta", "1", "--omega", "1e-9",
+            "--t-lr", "0.3",
+        )
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["name"] == "NonConverged"
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_below_one_rejected(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "--threads", value, "phase-diagram", "--n-b", "2", "--n-omega", "2"
+        )
+        assert code == 2 and out == ""
+        assert "--threads" in err
 
 
 class TestDeterminismAndRoundTrip:

@@ -151,3 +151,8 @@ class TestScanDiagram:
             scan_diagram((6, 0), (0, 6), 1.0, math.pi, 10, 10)
         with pytest.raises(UnsupportedPhase):
             scan_diagram((0, 6), (0, 6), 1.0, 0.3, 4, 4)
+
+    @pytest.mark.parametrize("n_workers", [0, -3])
+    def test_workers_below_one_rejected(self, n_workers):
+        with pytest.raises(ValueError):
+            scan_diagram((0, 6), (0, 6), 1.0, math.pi, 4, 4, "closed", n_workers)

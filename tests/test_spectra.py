@@ -7,6 +7,7 @@ from drivenspin import (
     DegenerateGap,
     DriveConfig,
     LABELS,
+    NonConverged,
     NotHermitian,
     StateLabel,
     build_hamiltonian,
@@ -70,6 +71,15 @@ class TestEigensystem:
             lead = va[np.argmax(np.abs(va[:, k])), k]
             assert lead.imag == pytest.approx(0.0, abs=1e-15)
             assert lead.real > 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solver", [eigensystem, eigh_stack])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_named_error_no_warning(solver, bad):
+    h = np.diag([bad, 1.0, 2.0, 3.0]).astype(complex)
+    with pytest.raises(NonConverged):
+        solver(h)
 
 
 class TestClosedForms:
