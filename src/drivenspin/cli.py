@@ -7,7 +7,8 @@ deterministic: floats are always rendered with 17 significant digits and
 JSON output re-parses to the exact input parameters.
 
 Exit codes: 0 success, 2 parameter validation failure, 3 computational
-failure (the structured error record carries the taxonomy name).
+failure (the structured error record carries the taxonomy name), which
+includes a result document that would hold a non-finite value.
 """
 
 from __future__ import annotations
@@ -21,14 +22,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import geometry, phasescan
-from .errors import DrivenSpinError
-from .evolution import (
-    dynamical_phase_quadrature,
-    extract_phases,
-    floquet_residual,
-    propagator_exact,
-    propagator_rk4,
-)
+from .errors import DrivenSpinError, NonConverged
+from .evolution import CyclicSystem, propagator_rk4
 from .qmodel import (
     LABELS,
     DriveConfig,
@@ -63,20 +58,21 @@ def parse_angle(text: str) -> float:
 
 
 def _fmt(value) -> str:
-    """Fixed 17-significant-digit rendering of one table value."""
+    """CSV rendering of one table value: as in JSON, but None empty and strings bare."""
     if value is None:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    return _json_dumps(value)
 
 
 def _json_dumps(obj) -> str:
     """Deterministic JSON with .17g float rendering (insertion-ordered keys)."""
+    if isinstance(obj, (float, np.floating)):  # first: the most frequent type
+        value = float(obj)
+        if not math.isfinite(value):
+            raise NonConverged(f"the result holds the non-finite value {value}")
+        return format(value, ".17g")
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -94,8 +90,6 @@ def _json_dumps(obj) -> str:
         return "".join(out)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
     if isinstance(obj, dict):
         items = (f"{_json_dumps(str(k))}: {_json_dumps(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
@@ -204,15 +198,9 @@ def cmd_spectrum(args) -> tuple[dict, tuple]:
     # Energy tables need no eigenvectors, so rows are matched by sort order
     # of the closed forms; at band crossings the tied values are equal and
     # the assignment is immaterial.
-    rows = []
-    deviation = 0.0
-    for i, th in enumerate(thetas):
-        order = band_order(closed[i])
-        numeric = [values[i, order[k]] for k in range(4)]
-        deviation = max(
-            deviation, max(abs(numeric[k] - closed[i, k]) for k in range(4))
-        )
-        rows.append([float(th)] + numeric + [float(x) for x in closed[i]])
+    numeric = np.take_along_axis(values, band_order(closed), axis=-1)
+    deviation = float(np.max(np.abs(numeric - closed)))
+    rows = np.column_stack([thetas, numeric, closed]).tolist()
     header = ["theta"] + _label_columns("num") + _label_columns("closed")
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -295,15 +283,16 @@ def cmd_evolve(args) -> tuple[dict, None]:
     """One-period phase breakdown plus propagator diagnostics."""
     cfg = _config_from(args)
     label = StateLabel(args.m1, args.m2)
-    breakdown = extract_phases(cfg, label)
-    u_exact = propagator_exact(cfg, breakdown.period)
+    system = CyclicSystem.of(cfg)
+    breakdown = system.phases(label)
+    u_exact = system.propagator(breakdown.period)
     u_rk4, drift = propagator_rk4(
         cfg, breakdown.period, n_steps=args.rk4_steps, return_drift=True
     )
     unitarity = float(
         np.max(np.abs(u_exact.conj().T @ u_exact - np.eye(4)))
     )
-    quad = dynamical_phase_quadrature(cfg, label)
+    quad = system.dynamical_quadrature(label)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "params": _params_doc(args, {"rk4_steps": args.rk4_steps}),
@@ -317,7 +306,7 @@ def cmd_evolve(args) -> tuple[dict, None]:
             "exact_unitarity_defect": unitarity,
             "rk4_deviation": float(np.max(np.abs(u_exact - u_rk4))),
             "rk4_reunitarization_norm": drift,
-            "floquet_residual": floquet_residual(cfg, label),
+            "floquet_residual": system.floquet_residual(label),
             "dynamical_quadrature_circdiff": geometry.circular_distance(
                 geometry.fold_phase(quad), breakdown.dynamical
             ),
@@ -470,17 +459,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.threads < 1:
             parser.error(f"argument --threads: must be at least 1, got {args.threads}")
+        if getattr(args, "theta_steps", 1) < 1:
+            parser.error(
+                f"argument --theta-steps: must be at least 1, got {args.theta_steps}"
+            )
     except SystemExit as exc:  # argparse validation or --help
         return int(exc.code or 0)
     try:
         doc, table = args.handler(args)
+        _emit(args, doc, table)
     except DrivenSpinError as exc:
         print(_error_record(type(exc).__name__, str(exc)), file=sys.stderr)
         return 3
     except ValueError as exc:
         print(_error_record("ValidationError", str(exc)), file=sys.stderr)
         return 2
-    _emit(args, doc, table)
     return 0
 
 

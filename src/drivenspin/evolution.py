@@ -2,14 +2,16 @@
 
 The drive admits an exact propagator: in the co-rotating frame the
 Hamiltonian is static, so U(t) = R(t) exp(-i H_rot t) with R(t) the frame
-rotation generated by Sz_total.  An explicit Runge-Kutta integration of
-the time-dependent Schroedinger equation serves as the independent check.
+rotation generated by Sz_total.  ``evolve`` diagonalizes H_rot once, in a
+``CyclicSystem``.  An explicit Runge-Kutta integration of the
+time-dependent Schroedinger equation serves as the independent check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .qmodel import (
     build_rotating_hamiltonian,
     rotation_about_z,
 )
-from .spectra import eigensystem, label_eigenstates
+from .spectra import EigenSystem, LabeledSpectrum, eigensystem, label_eigenstates
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,81 @@ def _require_driven(cfg: DriveConfig) -> float:
     return 2.0 * math.pi / cfg.omega
 
 
+@dataclass(frozen=True)
+class CyclicSystem:
+    """A drive configuration with its rotating-frame Hamiltonian diagonalized.
+
+    Build it with ``CyclicSystem.of(cfg)``.  The (m1, m2) labels are
+    assigned on first use, so ``propagator`` also works off the phi in
+    {0, pi} branches and at degenerate points, where labeling fails.
+    """
+
+    cfg: DriveConfig
+    period: float
+    eig: EigenSystem
+
+    @classmethod
+    def of(cls, cfg: DriveConfig) -> CyclicSystem:
+        period = _require_driven(cfg)
+        return cls(cfg, period, eigensystem(build_rotating_hamiltonian(cfg)))
+
+    @cached_property
+    def labeled(self) -> LabeledSpectrum:
+        return label_eigenstates(self.eig, self.cfg, regime="rotating")
+
+    def propagator(self, t: float) -> np.ndarray:
+        """U(t) = R(t) exp(-i H_rot t); see ``propagator_exact``."""
+        phases = np.exp(-1j * self.eig.values * float(t))
+        return rotation_about_z(self.cfg.omega * float(t)) @ (
+            (self.eig.vectors * phases) @ self.eig.vectors.conj().T
+        )
+
+    def phases(self, label: StateLabel) -> PhaseBreakdown:
+        """Phase breakdown over one period; see ``extract_phases``."""
+        vec = self.labeled.vector(label)
+        psi_t = self.propagator(self.period) @ vec
+        total = float(np.angle(np.vdot(vec, psi_t)))
+        sz = float(np.real(np.vdot(vec, SZ_TOTAL_DIAG * vec)))
+        energy = self.labeled.energy(label)
+        dynamical = fold_phase(-self.period * (energy + self.cfg.omega * sz))
+        geometric = fold_phase(total - dynamical)
+        return PhaseBreakdown(
+            total=fold_phase(total),
+            dynamical=dynamical,
+            geometric=geometric,
+            period=self.period,
+        )
+
+    def dynamical_quadrature(self, label: StateLabel, n_panels: int = 10_000) -> float:
+        """Quadrature of the dynamical phase; see ``dynamical_phase_quadrature``."""
+        vec = self.labeled.vector(label)
+        n = int(n_panels)
+        if n < 2 or n % 2:
+            raise ValueError(f"n_panels must be even and >= 2, got {n}")
+        cfg, es = self.cfg, self.eig
+        times = np.linspace(0.0, self.period, n + 1)
+        # psi(t) = R(omega t) V exp(-i E t) V^H psi(0), vectorized over t
+        coeff = es.vectors.conj().T @ vec
+        rot_frame = es.vectors @ (np.exp(-1j * np.outer(times, es.values)) * coeff).T
+        psi = np.exp(-1j * np.outer(cfg.omega * times, SZ_TOTAL_DIAG)) * rot_frame.T
+        hs = _lab_hamiltonian(
+            cfg.b, cfg.theta, cfg.phi_l, cfg.phi_r, cfg.t_lr, cfg.omega * times
+        )
+        expval = np.real(np.einsum("ti,tij,tj->t", np.conj(psi), hs, psi))
+        weights = np.ones(n + 1)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        integral = (self.period / n) / 3.0 * float(np.dot(weights, expval))
+        return -integral
+
+    def floquet_residual(self, label: StateLabel) -> float:
+        """Distance from a Floquet state; see ``floquet_residual``."""
+        vec = self.labeled.vector(label)
+        psi_t = self.propagator(self.period) @ vec
+        eigval = np.vdot(vec, psi_t)
+        return float(np.linalg.norm(psi_t - eigval * vec))
+
+
 def propagator_exact(cfg: DriveConfig, t: float) -> np.ndarray:
     """Exact propagator of the driven Hamiltonian from time 0 to t.
 
@@ -56,12 +133,7 @@ def propagator_exact(cfg: DriveConfig, t: float) -> np.ndarray:
     spectral decomposition of the static rotating-frame Hamiltonian, so the
     result is unitary to roundoff.
     """
-    _require_driven(cfg)
-    es = eigensystem(build_rotating_hamiltonian(cfg))
-    phases = np.exp(-1j * es.values * float(t))
-    return rotation_about_z(cfg.omega * float(t)) @ (
-        (es.vectors * phases) @ es.vectors.conj().T
-    )
+    return CyclicSystem.of(cfg).propagator(t)
 
 
 def propagator_rk4(
@@ -138,24 +210,7 @@ def extract_phases(cfg: DriveConfig, label: StateLabel) -> PhaseBreakdown:
     sign lands in the total phase.  Both conventions are reported by the
     toolkit; neither is shifted to match the other.
     """
-    period = _require_driven(cfg)
-    labeled = label_eigenstates(
-        eigensystem(build_rotating_hamiltonian(cfg)), cfg, regime="rotating"
-    )
-    label = StateLabel(*label)
-    energy = labeled.energy(label)
-    vec = labeled.vector(label)
-    psi_t = propagator_exact(cfg, period) @ vec
-    total = float(np.angle(np.vdot(vec, psi_t)))
-    sz = float(np.real(np.vdot(vec, SZ_TOTAL_DIAG * vec)))
-    dynamical = fold_phase(-period * (energy + cfg.omega * sz))
-    geometric = fold_phase(total - dynamical)
-    return PhaseBreakdown(
-        total=fold_phase(total),
-        dynamical=dynamical,
-        geometric=geometric,
-        period=period,
-    )
+    return CyclicSystem.of(cfg).phases(label)
 
 
 def dynamical_phase_quadrature(
@@ -167,29 +222,7 @@ def dynamical_phase_quadrature(
     lab-frame builder, so this is an independent route to the closed-form
     dynamical phase used by ``extract_phases`` (folded comparison).
     """
-    period = _require_driven(cfg)
-    labeled = label_eigenstates(
-        eigensystem(build_rotating_hamiltonian(cfg)), cfg, regime="rotating"
-    )
-    vec = labeled.vector(StateLabel(*label))
-    n = int(n_panels)
-    if n < 2 or n % 2:
-        raise ValueError(f"n_panels must be even and >= 2, got {n}")
-    times = np.linspace(0.0, period, n + 1)
-    # psi(t) = R(omega t) V exp(-i E t) V^H psi(0), vectorized over t
-    es = eigensystem(build_rotating_hamiltonian(cfg))
-    coeff = es.vectors.conj().T @ vec
-    rot_frame = es.vectors @ (np.exp(-1j * np.outer(times, es.values)) * coeff).T
-    psi = np.exp(-1j * np.outer(cfg.omega * times, SZ_TOTAL_DIAG)) * rot_frame.T
-    hs = _lab_hamiltonian(
-        cfg.b, cfg.theta, cfg.phi_l, cfg.phi_r, cfg.t_lr, cfg.omega * times
-    )
-    expval = np.real(np.einsum("ti,tij,tj->t", np.conj(psi), hs, psi))
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    integral = (period / n) / 3.0 * float(np.dot(weights, expval))
-    return -integral
+    return CyclicSystem.of(cfg).dynamical_quadrature(label, n_panels)
 
 
 def floquet_residual(cfg: DriveConfig, label: StateLabel) -> float:
@@ -198,11 +231,4 @@ def floquet_residual(cfg: DriveConfig, label: StateLabel) -> float:
     Returns |U(T) psi - <psi|U(T) psi> psi|, which vanishes when psi is an
     eigenvector of the one-period propagator.
     """
-    period = _require_driven(cfg)
-    labeled = label_eigenstates(
-        eigensystem(build_rotating_hamiltonian(cfg)), cfg, regime="rotating"
-    )
-    vec = labeled.vector(StateLabel(*label))
-    psi_t = propagator_exact(cfg, period) @ vec
-    eigval = np.vdot(vec, psi_t)
-    return float(np.linalg.norm(psi_t - eigval * vec))
+    return CyclicSystem.of(cfg).floquet_residual(label)

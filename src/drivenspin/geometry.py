@@ -13,6 +13,10 @@ choice the in-phase (phi = 0) adiabatic Chern number of band (m1, m2)
 equals +m1, and every closed-form curvature and invariant below uses the
 same orientation, so closed and numerical routes agree sign for sign.
 
+Every closed-form invariant depends on the field only through one sector
+parameter x per m2 sector: 0 or m2 lam (adiabatic), mu or Delta_m2 (cyclic),
+in phase or anti-phase.  A sector is topological iff |x| < 1.
+
 Closed forms and lattice numerics are deliberately independent code paths:
 the lattice routines never evaluate a closed-form curvature or phase, only
 closed-form *energies* for band labeling.
@@ -69,12 +73,34 @@ def circular_distance(a: float, b: float) -> float:
     return abs(fold_phase(a - b))
 
 
-def _spectra_regime(regime: str) -> str:
-    if regime == "adiabatic":
-        return "adiabatic"
+def _require_regime(regime: str) -> None:
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+
+
+def _sector_parameters(cfg: DriveConfig, regime: str) -> tuple[float, float]:
+    """Sector parameters (x_+, x_-) of the m2 = +1 and m2 = -1 bands."""
+    in_phase = cfg.phase_branch() == 0.0
     if regime == "nonadiabatic":
-        return "rotating"
-    raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+        return (cfg.mu, cfg.mu) if in_phase else (cfg.delta(+1), cfg.delta(-1))
+    _require_regime(regime)
+    return (0.0, 0.0) if in_phase else (cfg.lam, -cfg.lam)
+
+
+def _transition_distance(x: float) -> float:
+    """Distance of a sector parameter from the transition |x| = 1."""
+    return abs(abs(x) - 1.0)
+
+
+def _is_topological(x: float) -> bool:
+    """Whether the sector with parameter x is topological, i.e. |x| < 1.
+
+    Raises OnTransition within TRANSITION_TOL of |x| = 1, where the
+    invariant is undefined.
+    """
+    if _transition_distance(x) <= TRANSITION_TOL:
+        raise OnTransition(f"|x| = {abs(x)} is on the transition line |x| = 1")
+    return abs(x) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -320,22 +346,19 @@ def berry_phase_wilson(
 def berry_phase_closed(cfg: DriveConfig, theta: float, label: StateLabel) -> float:
     """Closed-form adiabatic geometric phase, folded to (-pi, pi].
 
-    For the in-phase branch the result is pi (1 - m1 cos(theta)),
-    independent of the tunneling; the anti-phase branch renormalizes it by
-    f = sqrt(1 + lam^2 - 2 m2 lam cos(theta)).
+    pi (m1 (x - cos(theta)) + f) / f with f = sqrt(1 + x^2 - 2 x cos(theta)):
+    pi (1 - m1 cos(theta)) in phase (x = 0), independent of the tunneling,
+    and renormalized by f anti-phase (x = m2 lam).
     """
     m1, m2 = StateLabel(*label)
-    branch = cfg.phase_branch()
+    x = _sector_parameters(cfg, "adiabatic")[0 if m2 > 0 else 1]
     c = math.cos(theta)
-    if branch == 0.0:
-        return fold_phase(math.pi * (1.0 - m1 * c))
-    lam = cfg.lam
-    f = math.sqrt(max(1.0 + lam * lam - 2.0 * m2 * lam * c, 0.0))
+    f = math.sqrt(max(1.0 + x * x - 2.0 * x * c, 0.0))
     if f <= ROOT_TOL:
         raise DegenerateGap(
             f"band touching: f = {f:.3e} for label {tuple(label)} at theta={theta}"
         )
-    return fold_phase(math.pi * (m1 * (lam * m2 - c) + f) / f)
+    return fold_phase(math.pi * (m1 * (x - c) + f) / f)
 
 
 def rotating_sz_expectation(cfg: DriveConfig, label: StateLabel) -> float:
@@ -360,8 +383,7 @@ def aa_phase_closed(cfg: DriveConfig, label: StateLabel) -> float:
     is silently shifted.
     """
     m1, m2 = StateLabel(*label)
-    branch = cfg.phase_branch()
-    x = cfg.mu if branch == 0.0 else cfg.delta(m2)
+    x = _sector_parameters(cfg, "nonadiabatic")[0 if m2 > 0 else 1]
     c = math.cos(cfg.theta)
     den = math.sqrt(max(1.0 + x * x - 2.0 * x * c, 0.0))
     if den <= ROOT_TOL:
@@ -386,16 +408,6 @@ class CurvatureSample:
     regime: str
 
 
-def _curvature_parameter(cfg: DriveConfig, m2: int, regime: str) -> float:
-    """Effective detuning parameter x entering every curvature branch."""
-    branch = cfg.phase_branch()
-    if regime == "adiabatic":
-        return 0.0 if branch == 0.0 else m2 * cfg.lam
-    if regime == "nonadiabatic":
-        return cfg.mu if branch == 0.0 else cfg.delta(m2)
-    raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-
-
 def curvature_closed(
     cfg: DriveConfig, theta: float, label: StateLabel, regime: str
 ) -> CurvatureSample:
@@ -403,11 +415,10 @@ def curvature_closed(
 
     All four branches share the shape
     m1 (sin(theta)/2) (1 - x cos(theta)) / (1 + x^2 - 2 x cos(theta))^(3/2)
-    with x = 0 (adiabatic in-phase), m2 lam (adiabatic anti-phase), mu
-    (cyclic in-phase) or Delta_m2 (cyclic anti-phase).
+    with x the sector parameter of the band (see the module docstring).
     """
     m1, m2 = StateLabel(*label)
-    x = _curvature_parameter(cfg, m2, regime)
+    x = _sector_parameters(cfg, regime)[0 if m2 > 0 else 1]
     c = math.cos(theta)
     d = 1.0 + x * x - 2.0 * x * c
     if math.sqrt(max(d, 0.0)) <= ROOT_TOL:
@@ -435,12 +446,9 @@ def curvature_numeric(
     label = StateLabel(*label)
     th = np.array([theta - h / 2.0, theta + h / 2.0])
     ph = np.array([varphi - h / 2.0, varphi + h / 2.0])
-    if regime == "adiabatic":
-        states, _ = _adiabatic_band_states(cfg, th, ph)
-    elif regime == "nonadiabatic":
-        states, _ = _rotating_band_states(cfg, th, ph)
-    else:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+    _require_regime(regime)
+    builder = _adiabatic_band_states if regime == "adiabatic" else _rotating_band_states
+    states, _ = builder(cfg, th, ph)
     corner = states[..., LABELS.index(label)]
     u00, u01 = corner[0, 0], corner[0, 1]
     u10, u11 = corner[1, 0], corner[1, 1]
@@ -505,14 +513,11 @@ def chern_lattice(
     """
     if n_theta < 20 or n_phi < 20:
         raise ValueError("n_theta and n_phi must both be at least 20")
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+    _require_regime(regime)
     thetas = np.linspace(0.0, math.pi, int(n_theta))
     phis = 2.0 * math.pi * np.arange(int(n_phi)) / int(n_phi)
-    if regime == "adiabatic":
-        states, min_gap = _adiabatic_band_states(cfg, thetas, phis)
-    else:
-        states, min_gap = _rotating_band_states(cfg, thetas, phis)
+    builder = _adiabatic_band_states if regime == "adiabatic" else _rotating_band_states
+    states, min_gap = builder(cfg, thetas, phis)
     flux = lattice_flux(states)
     c1 = {}
     for k, lab in enumerate(LABELS):
@@ -543,22 +548,8 @@ def chern_closed(cfg: DriveConfig, label: StateLabel, regime: str) -> int:
         adiabatic branches this includes lam = 1, where bands touch.
     """
     m1, m2 = StateLabel(*label)
-    branch = cfg.phase_branch()
+    x = _sector_parameters(cfg, regime)[0 if m2 > 0 else 1]
     if regime == "adiabatic":
-        if abs(cfg.lam - 1.0) <= TRANSITION_TOL:
-            raise OnTransition(f"lam = {cfg.lam} is on the adiabatic transition")
-        if branch == 0.0:
-            return m1
-        return m1 if cfg.lam < 1.0 else 0
-    if regime == "nonadiabatic":
-        if branch == 0.0:
-            if abs(cfg.mu - 1.0) <= TRANSITION_TOL:
-                raise OnTransition(f"mu = {cfg.mu} is on the transition line")
-            return m1 if cfg.mu < 1.0 else 0
-        d = cfg.delta(m2)
-        if abs(abs(d) - 1.0) <= TRANSITION_TOL:
-            raise OnTransition(
-                f"|Delta_{'+' if m2 > 0 else '-'}| = {abs(d)} is on the transition line"
-            )
-        return m1 if abs(d) < 1.0 else 0
-    raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+        # The adiabatic bands touch at lam = 1 on both branches, also where x = 0.
+        _is_topological(cfg.lam)
+    return m1 if _is_topological(x) else 0

@@ -10,14 +10,18 @@ always.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DrivenSpinError, OnTransition
-from .geometry import TRANSITION_TOL, chern_lattice
+from .errors import DrivenSpinError
+from .geometry import (
+    _is_topological,
+    _sector_parameters,
+    _transition_distance,
+    chern_lattice,
+)
 from .qmodel import DriveConfig, StateLabel
 
 DEFAULT_LATTICE_RESOLUTION = 100
@@ -57,9 +61,8 @@ class PhaseDiagramCell:
 
 def _boundary_distance(cfg: DriveConfig) -> float:
     """Distance to the nearest transition line of the active branch."""
-    if cfg.phase_branch() == 0.0:
-        return abs(cfg.mu - 1.0)
-    return min(abs(abs(cfg.delta(m2)) - 1.0) for m2 in (+1, -1))
+    x_plus, x_minus = _sector_parameters(cfg, "nonadiabatic")
+    return min(_transition_distance(x_plus), _transition_distance(x_minus))
 
 
 def classify_point(cfg: DriveConfig, method: str = "closed") -> PhaseClass:
@@ -76,26 +79,16 @@ def classify_point(cfg: DriveConfig, method: str = "closed") -> PhaseClass:
     Raises
     ------
     OnTransition
-        Closed method, parameters within TRANSITION_TOL of a boundary.
+        Closed method, a sector parameter on its transition line |x| = 1.
     DegenerateGap
         Lattice method, a grid point with unresolved bands.
     """
-    branch = cfg.phase_branch()
     if method == "closed":
-        if branch == 0.0:
-            if abs(cfg.mu - 1.0) <= TRANSITION_TOL:
-                raise OnTransition(f"mu = {cfg.mu} sits on the transition line")
-            mag = 1 if cfg.mu < 1.0 else 0
-            return PhaseClass(c_plus=mag, c_minus=mag)
-        mags = {}
-        for m2 in (+1, -1):
-            d = abs(cfg.delta(m2))
-            if abs(d - 1.0) <= TRANSITION_TOL:
-                raise OnTransition(
-                    f"|Delta_{'+' if m2 > 0 else '-'}| = {d} sits on the transition line"
-                )
-            mags[m2] = 1 if d < 1.0 else 0
-        return PhaseClass(c_plus=mags[+1], c_minus=mags[-1])
+        x_plus, x_minus = _sector_parameters(cfg, "nonadiabatic")
+        return PhaseClass(
+            c_plus=1 if _is_topological(x_plus) else 0,
+            c_minus=1 if _is_topological(x_minus) else 0,
+        )
     if method == "lattice":
         report = chern_lattice(
             cfg,
@@ -119,20 +112,14 @@ def classify_point(cfg: DriveConfig, method: str = "closed") -> PhaseClass:
 def _scan_cell(b, omega, t_lr, phi, method):
     cfg = DriveConfig(b=b, theta=0.0, phi_l=0.0, phi_r=-phi, omega=omega, t_lr=t_lr)
     dist = _boundary_distance(cfg)
+    phase = error = None
     try:
         phase = classify_point(cfg, method=method)
-        return PhaseDiagramCell(
-            b=b, omega=omega, phase=phase, method=method, boundary_distance=dist
-        )
     except DrivenSpinError as exc:
-        return PhaseDiagramCell(
-            b=b,
-            omega=omega,
-            phase=None,
-            method=method,
-            boundary_distance=dist,
-            error=type(exc).__name__,
-        )
+        error = type(exc).__name__
+    return PhaseDiagramCell(
+        b=b, omega=omega, phase=phase, method=method, boundary_distance=dist, error=error
+    )
 
 
 def scan_diagram(

@@ -116,6 +116,35 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "--threads" in err
 
+    @pytest.mark.parametrize("command", ["spectrum", "berry"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_theta_steps_below_one_rejected(self, capsys, command, value):
+        code, out, err = run_cli(capsys, command, "--b", "2", "--theta-steps", value)
+        assert code == 2 and out == ""
+        assert "--theta-steps" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "drive",
+        [
+            # the closed-form energy tables overflow to +-inf
+            ["--b", "1e308", "--t-lr", "1e308"],
+            ["--b", "1e-300", "--t-lr", "1e10"],
+        ],
+    )
+    def test_non_finite_document_refused(self, capsys, tmp_path, fmt, drive):
+        path = tmp_path / "out.txt"
+        code, out, err = run_cli(
+            capsys, "--format", fmt, "--out", str(path), "spectrum", *drive,
+            "--theta-steps", "3",
+        )
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["name"] == "NonConverged"
+        assert not path.exists()
+        code, out, err = run_cli(capsys, "spectrum", *drive, "--theta-steps", "3")
+        assert code == 3 and out == ""
+
 
 class TestDeterminismAndRoundTrip:
     def test_byte_identical_repeats(self, capsys):

@@ -21,6 +21,8 @@ from drivenspin import (
     propagator_exact,
     propagator_rk4,
 )
+from drivenspin import spectra
+from drivenspin.cli import main
 from drivenspin.evolution import PhaseBreakdown
 from drivenspin.qmodel import spin_site_operators
 
@@ -177,3 +179,18 @@ class TestExtractPhases:
     def test_breakdown_identity_enforced(self):
         with pytest.raises(ValueError):
             PhaseBreakdown(total=1.0, dynamical=0.2, geometric=0.3, period=1.0)
+
+
+def test_evolve_diagonalizes_once(monkeypatch, capsys):
+    calls = []
+    eigh_stack = spectra.eigh_stack
+
+    def counting_eigh_stack(h):
+        calls.append(np.shape(h))
+        return eigh_stack(h)
+
+    monkeypatch.setattr(spectra, "eigh_stack", counting_eigh_stack)
+    argv = "evolve --b 2 --theta pi/3 --phi pi --omega 1.5 --t-lr 1 --m1 1 --m2 -1"
+    assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert calls == [(4, 4)]

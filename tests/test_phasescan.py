@@ -2,8 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from drivenspin import DriveConfig, OnTransition, UnsupportedPhase, classify_point, scan_diagram
+from drivenspin import (
+    DriveConfig,
+    OnTransition,
+    StateLabel,
+    UnsupportedPhase,
+    chern_closed,
+    classify_point,
+    scan_diagram,
+)
+from drivenspin.geometry import TRANSITION_TOL
 from drivenspin.phasescan import PhaseClass
 
 
@@ -156,3 +167,47 @@ class TestScanDiagram:
     def test_workers_below_one_rejected(self, n_workers):
         with pytest.raises(ValueError):
             scan_diagram((0, 6), (0, 6), 1.0, math.pi, 4, 4, "closed", n_workers)
+
+
+@st.composite
+def drive_points(draw):
+    """(b, omega, t_lr, phi) over criterion 5's ranges, phi in {0, pi}.
+
+    Half the draws move omega so that one sector parameter sits at
+    |x| = 1 + k TRANSITION_TOL, straddling the transition tolerance.
+    """
+    b = draw(st.floats(1e-3, 8.0))
+    t_lr = draw(st.floats(1e-6, 4.0))
+    phi = draw(st.sampled_from([0.0, math.pi]))
+    omega = draw(st.floats(0.0, 8.0))
+    if draw(st.booleans()):
+        x = 1.0 + draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])) * TRANSITION_TOL
+        if phi == 0.0:
+            omega = b * x  # mu = x
+        else:
+            m2, sign = draw(st.sampled_from([(1, 1), (-1, 1), (-1, -1)]))
+            omega = sign * b * x - 2.0 * m2 * t_lr  # Delta_m2 = sign * x
+            assume(omega >= 0.0)
+    return b, omega, t_lr, phi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drive_points())
+def test_closed_rules_agree(params):
+    """classify_point, chern_closed and the scan's boundary distance share one rule."""
+    b, omega, t_lr, phi = params
+    cfg = point(b, omega, t_lr=t_lr, phi=phi)
+    try:
+        phase = classify_point(cfg)
+    except OnTransition:
+        phase = None
+    try:
+        chern = [abs(chern_closed(cfg, StateLabel(1, m2), "nonadiabatic")) for m2 in (1, -1)]
+    except OnTransition:
+        chern = None
+    assert (phase is None) == (chern is None)
+    if phase is not None:
+        assert [phase.c_plus, phase.c_minus] == chern
+    for cell in scan_diagram((b, b), (omega, omega), t_lr, phi, 2, 2):
+        assert (cell.b, cell.omega, cell.phase) == (b, omega, phase)
+        assert (cell.error == "OnTransition") == (cell.boundary_distance <= TRANSITION_TOL)
