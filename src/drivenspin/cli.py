@@ -186,9 +186,8 @@ def cmd_spectrum(args) -> tuple[dict, tuple]:
     """Energy (or quasienergy) curves vs theta, numerical and closed form."""
     thetas = np.linspace(0.0, math.pi, args.theta_steps)
     cfg0 = _config_from(args)
-    regime = "adiabatic" if args.regime == "adiabatic" else "rotating"
-    closed = _closed_energy_table(cfg0, regime, thetas)  # (n, 4) in LABELS order
-    if regime == "adiabatic":
+    closed = _closed_energy_table(cfg0, args.regime, thetas)  # (n, 4) in LABELS order
+    if args.regime == "adiabatic":
         hs = _lab_hamiltonian(cfg0.b, thetas, cfg0.phi_l, cfg0.phi_r, cfg0.t_lr, 0.0)
     else:
         hs = _rotating_hamiltonian(

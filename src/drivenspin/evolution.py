@@ -75,7 +75,10 @@ class CyclicSystem:
 
     def propagator(self, t: float) -> np.ndarray:
         """U(t) = R(t) exp(-i H_rot t); see ``propagator_exact``."""
-        phases = np.exp(-1j * self.eig.values * float(t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = np.exp(-1j * self.eig.values * float(t))
+        if not np.all(np.isfinite(phases)):
+            raise NonConverged(f"spectral phases E t overflow at t = {float(t):.3e}")
         return rotation_about_z(self.cfg.omega * float(t)) @ (
             (self.eig.vectors * phases) @ self.eig.vectors.conj().T
         )
@@ -157,7 +160,7 @@ def propagator_rk4(
     return_drift : bool
         If true, also return the norm of the re-unitarization correction.
 
-    Raises NonConverged if the transfer-matrix product overflows.
+    Raises NonConverged if the transfer-matrix product or its drift overflows.
     """
     _require_driven(cfg)
     n = int(n_steps)
@@ -173,13 +176,13 @@ def propagator_rk4(
     # The equation is linear, so the classical RK4 update is a per-step
     # transfer matrix M_k acting on U; all M_k are built batched and then
     # multiplied in step order (pairwise, which preserves the ordering).
-    k1 = -1j * h0
-    k2 = -1j * (h1 + 0.5 * dt * np.matmul(h1, k1))
-    k3 = -1j * (h1 + 0.5 * dt * np.matmul(h1, k2))
-    k4 = -1j * (h2 + dt * np.matmul(h2, k3))
-    m = np.eye(4, dtype=complex) + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # Steps far too coarse for ||H|| t overflow; reported as NonConverged below.
     with np.errstate(over="ignore", invalid="ignore"):
+        k1 = -1j * h0
+        k2 = -1j * (h1 + 0.5 * dt * np.matmul(h1, k1))
+        k3 = -1j * (h1 + 0.5 * dt * np.matmul(h1, k2))
+        k4 = -1j * (h2 + dt * np.matmul(h2, k3))
+        m = np.eye(4, dtype=complex) + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         while m.shape[0] > 1:
             half = m.shape[0] // 2
             paired = np.matmul(m[1 : 2 * half : 2], m[0 : 2 * half : 2])
@@ -191,7 +194,11 @@ def propagator_rk4(
     w, _, vh = np.linalg.svd(u)
     unitary = w @ vh
     if return_drift:
-        return unitary, float(np.linalg.norm(unitary - u))
+        with np.errstate(over="ignore"):
+            drift = float(np.linalg.norm(unitary - u))
+        if not math.isfinite(drift):
+            raise NonConverged(f"RK4 endpoint too large to measure its drift: t = {t:.3e}")
+        return unitary, drift
     return unitary
 
 

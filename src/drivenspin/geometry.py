@@ -15,7 +15,8 @@ same orientation, so closed and numerical routes agree sign for sign.
 
 Every closed-form invariant depends on the field only through one sector
 parameter x per m2 sector: 0 or m2 lam (adiabatic), mu or Delta_m2 (cyclic),
-in phase or anti-phase.  A sector is topological iff |x| < 1.
+in phase or anti-phase, read from ``spectra._sector_parameters`` like the
+closed-form energies.  A sector is topological iff |x| < 1.
 
 Closed forms and lattice numerics are deliberately independent code paths:
 the lattice routines never evaluate a closed-form curvature or phase, only
@@ -39,14 +40,7 @@ from .qmodel import (
     _lab_hamiltonian,
     _rotating_hamiltonian,
 )
-from .spectra import (
-    DEGENERACY_FACTOR,
-    _closed_energy_table,
-    band_order,
-    eigh_stack,
-)
-
-REGIMES = ("adiabatic", "nonadiabatic")
+from .spectra import _label_bands, _require_regime, _sector_parameters, eigh_stack
 
 #: Below this value of sqrt(1 + x^2 - 2 x cos(theta)) a closed-form branch
 #: sits on a band touching and the corresponding quantity is undefined.
@@ -73,20 +67,6 @@ def circular_distance(a: float, b: float) -> float:
     return abs(fold_phase(a - b))
 
 
-def _require_regime(regime: str) -> None:
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-
-
-def _sector_parameters(cfg: DriveConfig, regime: str) -> tuple[float, float]:
-    """Sector parameters (x_+, x_-) of the m2 = +1 and m2 = -1 bands."""
-    in_phase = cfg.phase_branch() == 0.0
-    if regime == "nonadiabatic":
-        return (cfg.mu, cfg.mu) if in_phase else (cfg.delta(+1), cfg.delta(-1))
-    _require_regime(regime)
-    return (0.0, 0.0) if in_phase else (cfg.lam, -cfg.lam)
-
-
 def _transition_distance(x: float) -> float:
     """Distance of a sector parameter from the transition |x| = 1."""
     return abs(abs(x) - 1.0)
@@ -101,6 +81,23 @@ def _is_topological(x: float) -> bool:
     if _transition_distance(x) <= TRANSITION_TOL:
         raise OnTransition(f"|x| = {abs(x)} is on the transition line |x| = 1")
     return abs(x) < 1.0
+
+
+def _sector_root(cfg: DriveConfig, regime: str, theta: float, label: StateLabel):
+    """(m1, x, cos(theta), d) of one band, with d = 1 + x^2 - 2 x cos(theta).
+
+    Raises DegenerateGap where sqrt(d) <= ROOT_TOL, a band touching, and
+    NonConverged where d overflows.
+    """
+    m1, m2 = StateLabel(*label)
+    x = _sector_parameters(cfg, regime)[0 if m2 > 0 else 1]
+    c = math.cos(theta)
+    d = 1.0 + x * x - 2.0 * x * c
+    if math.sqrt(max(d, 0.0)) <= ROOT_TOL:
+        raise DegenerateGap(f"band touching at theta={theta} for label {tuple(label)}")
+    if not math.isfinite(d):
+        raise NonConverged(f"closed form overflows at |x| = {abs(x)}")
+    return m1, x, c, d
 
 
 # ---------------------------------------------------------------------------
@@ -189,28 +186,6 @@ def _pole_rows(thetas) -> np.ndarray:
     return (thetas == 0.0) | (thetas == math.pi)
 
 
-def _check_and_order(values, closed, b, where):
-    """Gap and closed-form-residual checks for a grid of spectra.
-
-    ``values`` has shape (..., 4) ascending, ``closed`` the matching
-    closed-form table (LABELS order).  Returns (order array, min_gap).
-    """
-    gaps = np.diff(values, axis=-1)
-    min_gap = float(np.min(gaps))
-    if min_gap < DEGENERACY_FACTOR * b:
-        flat = np.unravel_index(int(np.argmin(np.min(gaps, axis=-1))), gaps.shape[:-1])
-        raise DegenerateGap(
-            f"eigenvalue gap {min_gap:.3e} below {DEGENERACY_FACTOR * b:.1e} "
-            f"at grid point {where(flat)}"
-        )
-    residual = float(np.max(np.abs(values - np.sort(closed, axis=-1))))
-    if residual > 1e-8 * b:
-        raise NonConverged(
-            f"numerical spectrum deviates from closed form by {residual:.3e}"
-        )
-    return band_order(closed), min_gap
-
-
 def _adiabatic_band_states(cfg, thetas, phis):
     """Labeled instantaneous eigenstates on a (theta, varphi) grid.
 
@@ -224,14 +199,14 @@ def _adiabatic_band_states(cfg, thetas, phis):
         cfg.b, thetas[:, None], cfg.phi_l, cfg.phi_r, cfg.t_lr, phis[None, :]
     )
     values, vectors = eigh_stack(h)
-    closed = _closed_energy_table(cfg, "adiabatic", thetas)  # (n_theta, 4)
-    order, min_gap = _check_and_order(
+    order, min_gap = _label_bands(
+        cfg,
+        "adiabatic",
         values,
-        closed[:, None, :],
-        cfg.b,
+        thetas[:, None],
         lambda ix: f"theta={thetas[ix[0]]:.6f}, varphi={phis[ix[1]]:.6f}",
     )
-    states = np.take_along_axis(vectors, order[:, :, None, :], axis=-1)
+    states = np.take_along_axis(vectors, order[..., None, :], axis=-1)
     for i in np.nonzero(_pole_rows(thetas))[0]:
         states[i] = states[i, 0]
     return states, min_gap
@@ -245,11 +220,10 @@ def _rotating_band_vectors(cfg, thetas):
     thetas = np.asarray(thetas, dtype=float)
     h = _rotating_hamiltonian(cfg.b, thetas, cfg.phi_l, cfg.phi_r, cfg.t_lr, cfg.omega)
     values, vectors = eigh_stack(h)
-    closed = _closed_energy_table(cfg, "rotating", thetas)
-    order, min_gap = _check_and_order(
-        values, closed, cfg.b, lambda ix: f"theta={thetas[ix[0]]:.6f}"
+    order, min_gap = _label_bands(
+        cfg, "rotating", values, thetas, lambda ix: f"theta={thetas[ix[0]]:.6f}"
     )
-    return np.take_along_axis(vectors, order[:, None, :], axis=-1), min_gap
+    return np.take_along_axis(vectors, order[..., None, :], axis=-1), min_gap
 
 
 def _rotating_band_states(cfg, thetas, phis):
@@ -350,14 +324,8 @@ def berry_phase_closed(cfg: DriveConfig, theta: float, label: StateLabel) -> flo
     pi (1 - m1 cos(theta)) in phase (x = 0), independent of the tunneling,
     and renormalized by f anti-phase (x = m2 lam).
     """
-    m1, m2 = StateLabel(*label)
-    x = _sector_parameters(cfg, "adiabatic")[0 if m2 > 0 else 1]
-    c = math.cos(theta)
-    f = math.sqrt(max(1.0 + x * x - 2.0 * x * c, 0.0))
-    if f <= ROOT_TOL:
-        raise DegenerateGap(
-            f"band touching: f = {f:.3e} for label {tuple(label)} at theta={theta}"
-        )
+    m1, x, c, d = _sector_root(cfg, "adiabatic", theta, label)
+    f = math.sqrt(d)
     return fold_phase(math.pi * (m1 * (x - c) + f) / f)
 
 
@@ -382,15 +350,8 @@ def aa_phase_closed(cfg: DriveConfig, label: StateLabel) -> float:
     connection does not.  Both values are reported by the toolkit; neither
     is silently shifted.
     """
-    m1, m2 = StateLabel(*label)
-    x = _sector_parameters(cfg, "nonadiabatic")[0 if m2 > 0 else 1]
-    c = math.cos(cfg.theta)
-    den = math.sqrt(max(1.0 + x * x - 2.0 * x * c, 0.0))
-    if den <= ROOT_TOL:
-        raise DegenerateGap(
-            f"band touching: denominator {den:.3e} for label {tuple(label)}"
-        )
-    return fold_phase(m1 * math.pi * (x - c) / den)
+    m1, x, c, d = _sector_root(cfg, "nonadiabatic", cfg.theta, label)
+    return fold_phase(m1 * math.pi * (x - c) / math.sqrt(d))
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +378,12 @@ def curvature_closed(
     m1 (sin(theta)/2) (1 - x cos(theta)) / (1 + x^2 - 2 x cos(theta))^(3/2)
     with x the sector parameter of the band (see the module docstring).
     """
-    m1, m2 = StateLabel(*label)
-    x = _sector_parameters(cfg, regime)[0 if m2 > 0 else 1]
-    c = math.cos(theta)
-    d = 1.0 + x * x - 2.0 * x * c
-    if math.sqrt(max(d, 0.0)) <= ROOT_TOL:
-        raise DegenerateGap(f"band touching at theta={theta} for label {tuple(label)}")
-    value = m1 * 0.5 * math.sin(theta) * (1.0 - x * c) / d**1.5
+    m1, x, c, d = _sector_root(cfg, regime, theta, label)
+    with np.errstate(over="ignore"):
+        den = np.float64(d) ** 1.5
+    if not np.isfinite(den):
+        raise NonConverged(f"closed-form curvature overflows at |x| = {abs(x)}")
+    value = float(m1 * 0.5 * math.sin(theta) * (1.0 - x * c) / den)
     return CurvatureSample(theta=float(theta), value=value, label=StateLabel(*label), regime=regime)
 
 

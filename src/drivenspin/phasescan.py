@@ -16,13 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DrivenSpinError
-from .geometry import (
-    _is_topological,
-    _sector_parameters,
-    _transition_distance,
-    chern_lattice,
-)
+from .geometry import _is_topological, _transition_distance, chern_lattice
 from .qmodel import DriveConfig, StateLabel
+from .spectra import _sector_parameters
 
 DEFAULT_LATTICE_RESOLUTION = 100
 
@@ -140,7 +136,8 @@ def scan_diagram(
     raised; the scan always completes.
 
     Returns the cells in row-major order (B outer, Omega inner),
-    independent of ``n_workers``.
+    independent of ``n_workers``.  Only lattice cells, which spend their
+    time in LAPACK outside the GIL, go to a pool of ``n_workers`` threads.
     """
     if n_b < 2 or n_omega < 2:
         raise ValueError("n_b and n_omega must both be at least 2")
@@ -157,11 +154,7 @@ def scan_diagram(
     bs = b_lo + (np.arange(n_b) + 0.5) * (b_hi - b_lo) / n_b
     ws = w_lo + (np.arange(n_omega) + 0.5) * (w_hi - w_lo) / n_omega
     tasks = [(float(b), float(w)) for b in bs for w in ws]
-    if n_workers > 1:
+    if n_workers > 1 and method == "lattice":
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            cells = list(
-                pool.map(lambda bw: _scan_cell(bw[0], bw[1], t_lr, phi, method), tasks)
-            )
-    else:
-        cells = [_scan_cell(b, w, t_lr, phi, method) for b, w in tasks]
-    return cells
+            return list(pool.map(lambda bw: _scan_cell(*bw, t_lr, phi, method), tasks))
+    return [_scan_cell(b, w, t_lr, phi, method) for b, w in tasks]

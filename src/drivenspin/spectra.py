@@ -3,13 +3,15 @@
 The eigensolver is LAPACK ``eigh`` (through numpy) applied to a whole
 stack of 4x4 problems at once, followed by a deterministic gauge fix; it
 reads no closed form, so it stays an independent route to the spectra.
+
+The one band-labeling rule, ``_label_bands``, lives here too; it names one
+spectrum or a grid of spectra by (m1, m2).  Every closed form, here and in
+``geometry``, reads its sector parameter x from ``_sector_parameters``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -17,6 +19,8 @@ from .errors import AmbiguousMatch, DegenerateGap, NonConverged, NotHermitian
 from .qmodel import LABELS, DriveConfig, StateLabel
 
 HERMITICITY_TOL = 1e-12
+
+REGIMES = ("adiabatic", "nonadiabatic")
 
 #: Band labeling is refused when the smallest eigenvalue gap drops below
 #: DEGENERACY_FACTOR * b; near-degenerate bands permute silently otherwise.
@@ -131,34 +135,46 @@ def closed_form_quasienergies(cfg: DriveConfig, label: StateLabel) -> float:
     return _closed_energy_table(cfg, "rotating")[LABELS.index(StateLabel(*label))]
 
 
+def _require_regime(regime: str) -> None:
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+
+
+def _sector_parameters(cfg: DriveConfig, regime: str) -> tuple[float, float]:
+    """Sector parameters (x_+, x_-) of the m2 = +1 and m2 = -1 bands."""
+    in_phase = cfg.phase_branch() == 0.0
+    if regime == "nonadiabatic":
+        return (cfg.mu, cfg.mu) if in_phase else (cfg.delta(+1), cfg.delta(-1))
+    _require_regime(regime)
+    return (0.0, 0.0) if in_phase else (cfg.lam, -cfg.lam)
+
+
 def _closed_energy_table(cfg: DriveConfig, regime: str, theta=None) -> np.ndarray:
     """Closed-form energies for all four labels (LABELS order).
+
+    Band (m1, m2) has -m1 b/2 sqrt(1 + x^2 - 2 x cos(theta)), less m2 t_lr
+    for in-phase quasienergies, except in-phase adiabatic -b/2 (m1 + m2 lam),
+    which that form at x = 0 rounds differently.  Overflow gives inf or nan.
 
     ``theta`` overrides cfg.theta when sweeping a grid; it may be an array,
     in which case the result has shape theta.shape + (4,).
     """
-    branch = cfg.phase_branch()
+    in_phase = cfg.phase_branch() == 0.0
+    if regime not in ("adiabatic", "rotating"):
+        raise ValueError(f"regime must be 'adiabatic' or 'rotating', got {regime!r}")
+    xs = _sector_parameters(cfg, "adiabatic" if regime == "adiabatic" else "nonadiabatic")
     th = cfg.theta if theta is None else theta
     c = np.cos(th)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # numpy's pow overflows to inf where Python's float ** raises
+        roots = [np.sqrt(1.0 + x**2 - 2.0 * x * c) for x in map(np.float64, xs)]
     cols = []
-    if regime == "adiabatic":
-        lam = cfg.lam
-        for m1, m2 in LABELS:
-            if branch == 0.0:
-                cols.append(np.broadcast_to(-0.5 * cfg.b * (m1 + m2 * lam), np.shape(c)))
-            else:
-                cols.append(-0.5 * m1 * cfg.b * np.sqrt(1.0 + lam**2 - 2.0 * m2 * lam * c))
-    elif regime == "rotating":
-        for m1, m2 in LABELS:
-            if branch == 0.0:
-                mu = cfg.mu
-                root = np.sqrt(1.0 + mu**2 - 2.0 * mu * c)
-                cols.append(-0.5 * m1 * cfg.b * root - m2 * cfg.t_lr)
-            else:
-                d = cfg.delta(m2)
-                cols.append(-0.5 * m1 * cfg.b * np.sqrt(1.0 + d**2 - 2.0 * d * c))
-    else:
-        raise ValueError(f"regime must be 'adiabatic' or 'rotating', got {regime!r}")
+    for m1, m2 in LABELS:
+        if regime == "adiabatic" and in_phase:
+            cols.append(np.broadcast_to(-0.5 * cfg.b * (m1 + m2 * cfg.lam), np.shape(c)))
+        else:
+            col = -0.5 * m1 * cfg.b * roots[0 if m2 > 0 else 1]
+            cols.append(col - m2 * cfg.t_lr if regime == "rotating" and in_phase else col)
     out = np.stack([np.asarray(col, dtype=float) for col in cols], axis=-1)
     return out if np.ndim(th) else out.reshape(4)
 
@@ -180,11 +196,7 @@ class LabeledSpectrum:
 def label_eigenstates(
     es: EigenSystem, cfg: DriveConfig, regime: str = "adiabatic"
 ) -> LabeledSpectrum:
-    """Name the four numerical eigenpairs by (m1, m2).
-
-    The bijective assignment minimizing the total |E_numeric - E_closed| is
-    found by enumerating all 24 permutations; with valid inputs it is also
-    the sort-order match.
+    """Name the four numerical eigenpairs by (m1, m2), by the rule of ``_label_bands``.
 
     Parameters
     ----------
@@ -200,55 +212,60 @@ def label_eigenstates(
     DegenerateGap
         If the smallest numerical gap is below DEGENERACY_FACTOR * b;
         labels permute freely near degeneracy points.
+    NonConverged
+        If the closed-form energies overflow.
     AmbiguousMatch
-        If two assignments tie, or the best assignment leaves a residual
-        above 1e-8 * b for some state.
+        If some state is more than 1e-8 * b from its closed-form energy.
     UnsupportedPhase
         Away from the phi in {0, pi} branches.
     """
-    closed = _closed_energy_table(cfg, regime)
-    gap_min = es.gap_min
-    if gap_min < DEGENERACY_FACTOR * cfg.b:
-        raise DegenerateGap(
-            f"minimal eigenvalue gap {gap_min:.3e} below threshold "
-            f"{DEGENERACY_FACTOR * cfg.b:.3e}; labeling is ill-defined"
-        )
-    best_cost = math.inf
-    second = math.inf
-    best: tuple[int, ...] | None = None
-    for perm in permutations(range(4)):
-        cost = sum(abs(es.values[perm[k]] - closed[k]) for k in range(4))
-        if cost < best_cost:
-            second = best_cost
-            best_cost = cost
-            best = perm
-        elif cost < second:
-            second = cost
-    assert best is not None
-    if second - best_cost < 1e-12 * cfg.b:
-        raise AmbiguousMatch(
-            f"two label assignments tie within {1e-12 * cfg.b:.1e} "
-            f"(costs {best_cost:.3e} / {second:.3e})"
-        )
-    residual = max(abs(es.values[best[k]] - closed[k]) for k in range(4))
-    if residual > 1e-8 * cfg.b:
-        raise AmbiguousMatch(
-            f"best assignment residual {residual:.3e} exceeds 1e-8 * b; "
-            "numerical and closed-form spectra disagree"
-        )
+    order, gap_min = _label_bands(cfg, regime, es.values)
     states = {
-        LABELS[k]: (float(es.values[best[k]]), es.vectors[:, best[k]].copy())
-        for k in range(4)
+        lab: (float(es.values[order[k]]), es.vectors[:, order[k]].copy())
+        for k, lab in enumerate(LABELS)
     }
     return LabeledSpectrum(states=states, gap_min=gap_min)
+
+
+def _label_bands(cfg, regime, values, theta=None, where=None):
+    """The band-labeling rule, for one spectrum or a stack of spectra.
+
+    ``values`` (..., 4), ascending, are matched against
+    ``_closed_energy_table(cfg, regime, theta)``, which must broadcast
+    against them.  Bands must be resolved (gap at least
+    DEGENERACY_FACTOR * b) and the closed forms finite and within 1e-8 * b
+    of the sorted values; any other bijection then misplaces some label by
+    more than the gap allows, so the sort-order match is the only one.
+    ``where`` names a stack index in messages.
+
+    Returns (order, min_gap); order[..., k] is the column of label k.
+    """
+    closed = _closed_energy_table(cfg, regime, theta)
+    gaps = np.diff(values, axis=-1)
+    min_gap = float(np.min(gaps))
+    if min_gap < DEGENERACY_FACTOR * cfg.b:
+        message = f"eigenvalue gap {min_gap:.3e} below {DEGENERACY_FACTOR * cfg.b:.1e}"
+        if where is not None:
+            ix = np.unravel_index(int(np.argmin(np.min(gaps, axis=-1))), gaps.shape[:-1])
+            message += f" at grid point {where(ix)}"
+        raise DegenerateGap(message)
+    if not np.all(np.isfinite(closed)):
+        raise NonConverged("closed-form energies overflow; bands cannot be labeled")
+    residual = float(np.max(np.abs(values - np.sort(closed, axis=-1))))
+    if residual > 1e-8 * cfg.b:
+        raise AmbiguousMatch(
+            f"numerical spectrum deviates from closed form by {residual:.3e}, "
+            "above 1e-8 * b"
+        )
+    return band_order(closed), min_gap
 
 
 def band_order(closed_values: np.ndarray) -> np.ndarray:
     """Position of each label's band in the ascending spectrum.
 
     ``closed_values`` is a length-4 array in LABELS order; the result maps
-    label index -> column index of the ascending-sorted eigensystem.  Used
-    by grid sweeps, where closed and numerical values agree to 1e-10 and
-    the sort-order match equals the assignment-problem optimum.
+    label index -> column index of the ascending-sorted eigensystem.  It is
+    the match of ``_label_bands``; energy tables, which must also cross
+    band touchings, use it directly.
     """
     return np.argsort(np.argsort(closed_values, kind="stable"), kind="stable")

@@ -1,8 +1,12 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drivenspin.cli import main, parse_angle
 
@@ -107,6 +111,62 @@ class TestErrors:
         )
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["name"] == "NonConverged"
+
+    @pytest.mark.parametrize(
+        "drive,codes",
+        [
+            # E t overflows in the exact propagator, the RK4 stages overflow
+            (["--b", "1e308", "--theta", "1", "--omega", "1", "--t-lr", "1e308"], {3}),
+            # the unstable RK4 endpoint (~1e264) is finite, its drift norm is not
+            (["--b", "1880", "--theta", "1", "--omega", "1", "--t-lr", "0.3"], {3}),
+            # 2000 RK4 steps are too coarse here too; how far the endpoint
+            # decays or grows depends on the BLAS, so either outcome is valid
+            (["--b", "7435.899713322316", "--theta", "2.0477539069550894",
+              "--t-lr", "0.024547226558940705", "--phi", "pi",
+              "--omega", "7.628014810968127"], {0, 3}),
+        ],
+    )
+    def test_evolve_overflow_named_without_warning(self, capsys, drive, codes):
+        code, out, err = run_cli(capsys, "evolve", *drive)
+        assert code in codes
+        if code:
+            assert out == ""
+            assert json.loads(err)["error"]["name"] == "NonConverged"
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            # closed-form tables that overflow (inf or nan) used to crash;
+            # where the bands are unresolved too, the gap check comes first
+            ("evolve --b 1e-300 --theta 1 --omega 1e10 --t-lr 1", "NonConverged"),
+            ("chern --b 1e-300 --omega 1e10 --t-lr 1 --regime nonadiabatic",
+             "NonConverged"),
+            ("spectrum --b 1e-100 --omega 1e100 --regime rotating --theta-steps 3",
+             "NonConverged"),
+            ("spectrum --b 1e-100 --t-lr 1e100 --phi pi --theta-steps 3",
+             "NonConverged"),
+            ("evolve --b 1e-100 --theta 1 --t-lr 1e100 --phi pi --omega 1",
+             "NonConverged"),
+            ("chern --b 1e-100 --t-lr 1e100 --phi pi --regime nonadiabatic",
+             "DegenerateGap"),
+            ("evolve --b 1e-100 --theta 1 --omega 1e100", "DegenerateGap"),
+        ],
+    )
+    def test_overflowing_closed_forms_are_named_failures(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["name"] == name
+
+    def test_overflowing_closed_forms_fail_berry_rows(self, capsys):
+        # mu = omega / b overflows; the bands stay resolved, so labeling refuses
+        code, out, _ = run_cli(
+            capsys, "berry", "--b", "1e-300", "--omega", "1e10", "--t-lr", "1",
+            "--regime", "nonadiabatic", "--theta-steps", "3",
+        )
+        assert code == 0
+        assert [row[-1] for row in json.loads(out)["results"]["rows"]] == [
+            "NonConverged"
+        ] * 3
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_threads_below_one_rejected(self, capsys, value):
@@ -277,3 +337,61 @@ class TestPhaseDiagram:
         counts = doc["diagnostics"]["class_counts"]
         assert set(counts) >= {"(0,0)", "(0,Z)", "(Z,Z)"}
         assert "(Z,0)" not in counts
+
+
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e))
+
+
+@st.composite
+def cli_argv(draw):
+    """Valid argv for any subcommand, magnitudes log-uniform over 1e-300..1e300."""
+    command = draw(
+        st.sampled_from(["spectrum", "berry", "chern", "evolve", "phase-diagram"])
+    )
+    phi = draw(st.sampled_from(["0", "pi"]))
+    if command == "phase-diagram":
+        b_lo, b_hi = sorted([draw(_MAGNITUDE), draw(_MAGNITUDE)], key=float)
+        w_lo, w_hi = sorted([draw(_MAGNITUDE), draw(_MAGNITUDE)], key=float)
+        return [
+            command, "--b-min", b_lo, "--b-max", b_hi, "--omega-min", w_lo,
+            "--omega-max", w_hi, "--n-b", "2", "--n-omega", "2",
+            "--t-lr", draw(_MAGNITUDE), "--phi", phi,
+            "--method", draw(st.sampled_from(["closed", "lattice"])),
+        ]
+    argv = [
+        command, "--b", draw(_MAGNITUDE), "--t-lr", draw(_MAGNITUDE),
+        "--omega", draw(_MAGNITUDE), "--phi", phi,
+    ]
+    if command == "spectrum":
+        regime = draw(st.sampled_from(["adiabatic", "rotating"]))
+        steps = draw(st.integers(1, 4))
+        return argv + ["--regime", regime, "--theta-steps", str(steps)]
+    if command == "evolve":
+        theta = draw(st.floats(0.0, math.pi))
+        m1, m2 = draw(st.sampled_from(["1", "-1"])), draw(st.sampled_from(["1", "-1"]))
+        return argv + [
+            "--theta", repr(theta), "--m1", m1, "--m2", m2, "--rk4-steps", "1000"
+        ]
+    argv += ["--regime", draw(st.sampled_from(["adiabatic", "nonadiabatic"]))]
+    if command == "berry":
+        steps = draw(st.integers(1, 3))
+        return argv + ["--theta-steps", str(steps), "--n-steps", "64"]
+    return argv + ["--n-theta", "20", "--n-phi", "20"]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(cli_argv())
+def test_exit_code_contract(argv):
+    """Exit 0 with a JSON document, or 2/3 with only a JSON error record.
+
+    Any raw numpy warning fails the test too (warnings are errors here).
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert json.loads(err.getvalue().splitlines()[-1])["error"]["name"]

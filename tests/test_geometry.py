@@ -7,6 +7,7 @@ from drivenspin import (
     DegenerateGap,
     DriveConfig,
     LABELS,
+    NonConverged,
     OnTransition,
     StateLabel,
     aa_phase_closed,
@@ -22,6 +23,7 @@ from drivenspin import (
     rotating_sz_expectation,
     wilson_loop_phase,
 )
+from drivenspin import geometry
 from drivenspin.geometry import _adiabatic_band_states, _rotating_band_states
 
 
@@ -80,6 +82,20 @@ class TestWilson:
         cfg = DriveConfig(b=2.0, theta=0.0, t_lr=0.7)
         with pytest.raises(ValueError):
             berry_phase_wilson(cfg, 1.0, StateLabel(1, 1), n_steps=32)
+
+    def test_band_phase_cache_hooks(self):
+        # perfbench/run.py clears this cache and reads its counters around every job
+        cache = geometry._wilson_band_phases
+        cache.cache_clear()
+        assert cache.cache_info().currsize == 0
+        cfg = anti_phase(t_lr=0.6)
+        for lab in LABELS:
+            berry_phase_wilson(cfg, 0.9, lab, n_steps=128)
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+        cache.cache_clear()
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_raw_loop_second_order(self):
         # the plain overlap product converges as O(1/n^2)
@@ -180,6 +196,12 @@ class TestCurvature:
         for m1, m2 in LABELS:
             sample = curvature_closed(cfg, math.pi / 2, StateLabel(m1, m2), "adiabatic")
             assert sample.value == pytest.approx(0.5 * m1, abs=1e-15)
+
+    def test_overflow_is_named(self):
+        # (1 + mu^2)^(3/2) overflows although mu itself is finite
+        cfg = DriveConfig(b=1.0, theta=0.0, omega=1e120)
+        with pytest.raises(NonConverged):
+            curvature_closed(cfg, 1.0, StateLabel(1, 1), "nonadiabatic")
 
     def test_large_tunneling_flattens(self):
         cfg = anti_phase(t_lr=50.0)
@@ -370,3 +392,21 @@ class TestGaugeInvariance:
         for band in range(4):
             flux = lattice_flux(states[:, :, :, band])
             assert abs(flux - round(flux)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        lambda cfg, lab: berry_phase_closed(cfg, 1.0, lab),
+        lambda cfg, lab: aa_phase_closed(cfg, lab),
+        lambda cfg, lab: curvature_closed(cfg, 1.0, lab, "adiabatic"),
+        lambda cfg, lab: curvature_closed(cfg, 1.0, lab, "nonadiabatic"),
+    ],
+    ids=["berry", "aa", "curvature-adiabatic", "curvature-nonadiabatic"],
+)
+def test_closed_forms_refuse_overflowing_sector_parameter(closed_form):
+    # lam = 2 t_lr / b and mu = omega / b are inf; the closed forms would be nan
+    cfg = DriveConfig(b=1e-300, theta=1.0, phi_r=-math.pi, omega=1e10, t_lr=1e10)
+    for lab in LABELS:
+        with pytest.raises(NonConverged):
+            closed_form(cfg, lab)

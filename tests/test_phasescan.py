@@ -14,6 +14,7 @@ from drivenspin import (
     classify_point,
     scan_diagram,
 )
+from drivenspin import phasescan
 from drivenspin.geometry import TRANSITION_TOL
 from drivenspin.phasescan import PhaseClass
 
@@ -154,6 +155,19 @@ class TestScanDiagram:
         a = scan_diagram((0, 6), (0, 6), **kwargs)
         b = scan_diagram((0, 6), (0, 6), n_workers=4, **kwargs)
         assert a == b
+        # lattice scans are the ones that go to the thread pool
+        kwargs = dict(t_lr=1.0, phi=math.pi, n_b=2, n_omega=2, method="lattice")
+        a = scan_diagram((1, 4), (0.5, 4), **kwargs)
+        b = scan_diagram((1, 4), (0.5, 4), n_workers=2, **kwargs)
+        assert a == b
+
+    def test_closed_scan_runs_on_calling_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("closed scans must not start a thread pool")
+
+        monkeypatch.setattr(phasescan, "ThreadPoolExecutor", no_pool)
+        cells = scan_diagram((0, 6), (0, 6), 1.0, math.pi, 4, 4, "closed", n_workers=4)
+        assert cells == scan_diagram((0, 6), (0, 6), 1.0, math.pi, 4, 4)
 
     def test_validation(self):
         with pytest.raises(ValueError):

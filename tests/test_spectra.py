@@ -1,11 +1,16 @@
 import math
+from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drivenspin import (
     DegenerateGap,
     DriveConfig,
+    DrivenSpinError,
     LABELS,
     NonConverged,
     NotHermitian,
@@ -18,6 +23,7 @@ from drivenspin import (
     eigh_stack,
     label_eigenstates,
 )
+from drivenspin.spectra import DEGENERACY_FACTOR
 
 
 def random_hermitian(rng, n):
@@ -210,3 +216,81 @@ class TestLabeling:
         es = eigensystem(build_hamiltonian(cfg_solved, 0.0))
         with pytest.raises(AmbiguousMatch):
             label_eigenstates(es, cfg_asked)
+
+
+def brute_force_labels(es, cfg, regime):
+    """Reference labeling: search all 24 label-to-column assignments.
+
+    Returns the column of each label (LABELS order) or the error name.
+    """
+    if regime == "adiabatic":
+        closed = [closed_form_adiabatic_energies(cfg, lab) for lab in LABELS]
+    else:
+        closed = [closed_form_quasienergies(cfg, lab) for lab in LABELS]
+    values = es.values
+    if np.min(np.diff(values)) < DEGENERACY_FACTOR * cfg.b:
+        return "DegenerateGap"
+    if not all(math.isfinite(e) for e in closed):
+        return "NonConverged"
+    costs = sorted(
+        (sum(abs(values[p[k]] - closed[k]) for k in range(4)), p)
+        for p in permutations(range(4))
+    )
+    (best_cost, best), (second_cost, _) = costs[0], costs[1]
+    if second_cost - best_cost < 1e-12 * cfg.b:
+        return "AmbiguousMatch"
+    if max(abs(values[best[k]] - closed[k]) for k in range(4)) > 1e-8 * cfg.b:
+        return "AmbiguousMatch"
+    return list(best)
+
+
+@st.composite
+def labeling_cases(draw):
+    """(eigensystem, cfg, regime), with draws near band crossings and
+    spectra solved at parameters other than the ones asked about."""
+    tiny = st.floats(-300.0, 0.0).map(lambda e: 10.0**e)
+    b = draw(st.one_of(st.floats(1e-3, 10.0), tiny))
+    theta = draw(st.floats(0.0, math.pi))
+    t_lr = draw(st.floats(0.0, 5.0))
+    omega = draw(st.floats(0.0, 10.0))
+    phi = draw(st.sampled_from([0.0, math.pi]))
+    regime = draw(st.sampled_from(["adiabatic", "rotating"]))
+    eps = draw(st.sampled_from([0.0, 1e-10, -1e-7, 5e-7, 2e-6, -1e-5, 1e-3]))
+    near = draw(st.sampled_from([None, "pole", "equator", "x=1"]))
+    if near == "pole":
+        theta = draw(st.sampled_from([abs(eps), math.pi - abs(eps)]))
+    elif near == "equator":
+        theta = math.pi / 2 + eps
+    elif near == "x=1":
+        if regime == "adiabatic":
+            t_lr = 0.5 * b * (1.0 + eps)  # lam = 1
+        else:
+            omega = b * (1.0 + eps) + (2.0 * t_lr if phi else 0.0)  # mu or Delta_- = 1
+    cfg = DriveConfig(b=b, theta=theta, phi_r=-phi, omega=omega, t_lr=t_lr)
+    field = draw(st.sampled_from(["b", "theta", "t_lr", "omega"]))
+    shift = draw(st.sampled_from([0.0, 0.0, 1e-12, 1e-9, -1e-7, 1e-4, 0.1]))
+    value = getattr(cfg, field) * (1.0 + shift)
+    solved = replace(cfg, **{field: min(value, math.pi) if field == "theta" else value})
+    if regime == "adiabatic":
+        h = build_hamiltonian(solved, draw(st.floats(0.0, 2 * math.pi)))
+    else:
+        h = build_rotating_hamiltonian(solved)
+    return eigensystem(h), cfg, regime
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(labeling_cases())
+def test_labeling_matches_brute_force(case):
+    """The sort-order rule names the same columns, or fails by the same name,
+    as the search over all 24 assignments."""
+    es, cfg, regime = case
+    expected = brute_force_labels(es, cfg, regime)
+    try:
+        labeled = label_eigenstates(es, cfg, regime)
+    except DrivenSpinError as exc:
+        assert type(exc).__name__ == expected
+        return
+    columns = [int(np.flatnonzero(es.values == labeled.energy(lab))[0]) for lab in LABELS]
+    assert columns == expected
+    for lab, col in zip(LABELS, columns):
+        assert np.array_equal(labeled.vector(lab), es.vectors[:, col])
