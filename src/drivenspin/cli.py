@@ -6,17 +6,20 @@ deterministic: floats are always rendered with 17 significant digits and
 '.' as decimal separator, so identical invocations are byte-identical and
 JSON output re-parses to the exact input parameters.
 
-Exit codes: 0 success, 2 parameter validation failure, 3 computational
-failure (the structured error record carries the taxonomy name), which
-includes a result document that would hold a non-finite value.
+Exit codes: 0 success, 2 parameter validation failure or an ``--out`` path
+that cannot be written, 3 computational failure (the structured error
+record carries the taxonomy name), which includes a result document that
+would hold a non-finite value.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import re
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -78,16 +81,7 @@ def _json_dumps(obj) -> str:
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch in '"\\':
-                out.append("\\" + ch)
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, dict):
@@ -98,79 +92,59 @@ def _json_dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit(args, doc: dict, table: tuple[list[str], list[list]] | None) -> None:
-    """Write the result document in the selected format."""
+#: Parameters a document records, in this order, for the subcommands that have them.
+_PARAM_KEYS = (
+    "b theta phi omega t_lr regime method theta_steps theta_min theta_max n_steps"
+    " n_theta n_phi m1 m2 rk4_steps b_min b_max omega_min omega_max n_b n_omega"
+).split()
+
+
+def _emit(args, results, diagnostics: dict) -> None:
+    """Write the result document in the selected format.
+
+    ``results`` is a (header, rows) table or a flat record.  JSON holds
+    schema_version, params, results (a table as columns and rows) and
+    diagnostics.  CSV is a table's header and rows, without diagnostics, or
+    a record's ``key,value`` rows, results first, then diagnostics.
+    """
+    table = isinstance(results, tuple)
     if args.format == "json":
-        out = {"schema_version": doc["schema_version"], "params": doc["params"]}
-        if table is not None:
-            out["results"] = {"columns": table[0], "rows": table[1]}
-        else:
-            out["results"] = doc["results"]
-        out["diagnostics"] = doc.get("diagnostics", {})
-        text = _json_dumps(out) + "\n"
+        params = {"command": args.command}
+        params.update((k, getattr(args, k)) for k in _PARAM_KEYS if hasattr(args, k))
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "params": params,
+            "results": {"columns": results[0], "rows": results[1]} if table else results,
+            "diagnostics": diagnostics,
+        }
+        text = _json_dumps(doc) + "\n"
     else:
-        if table is None:
-            # flatten a record into two-column CSV
-            rows = [[k, v] for k, v in _flatten(doc["results"]).items()]
-            rows += [[k, v] for k, v in _flatten(doc.get("diagnostics", {})).items()]
-            table = (["key", "value"], rows)
-        lines = [",".join(table[0])]
-        for row in table[1]:
-            lines.append(",".join(_fmt(v) for v in row))
+        header, rows = (
+            results if table else (["key", "value"], [*results.items(), *diagnostics.items()])
+        )
+        lines = [",".join(header)]
+        lines += (",".join(map(_fmt, row)) for row in rows)
         text = "\n".join(lines) + "\n"
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
 
 
-def _flatten(obj, prefix=""):
-    flat = {}
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            flat.update(_flatten(v, f"{prefix}{k}."))
-    else:
-        flat[prefix.rstrip(".")] = obj
-    return flat
-
-
-def _config_from(args, theta=0.0) -> DriveConfig:
+def _config_from(args) -> DriveConfig:
     """DriveConfig from CLI flags; --phi sets phi_l = 0, phi_r = -phi."""
     return DriveConfig(
         b=args.b,
-        theta=getattr(args, "theta", theta),
+        theta=getattr(args, "theta", 0.0),
         phi_l=0.0,
         phi_r=-args.phi,
-        omega=getattr(args, "omega", 0.0),
+        omega=args.omega,
         t_lr=args.t_lr,
     )
-
-
-def _params_doc(args, extra=None) -> dict:
-    doc = {"command": args.command}
-    for key in (
-        "b",
-        "theta",
-        "phi",
-        "omega",
-        "t_lr",
-        "regime",
-        "method",
-        "theta_steps",
-        "theta_min",
-        "theta_max",
-        "n_steps",
-        "n_theta",
-        "n_phi",
-        "m1",
-        "m2",
-    ):
-        if hasattr(args, key):
-            doc[key] = getattr(args, key)
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def _label_columns(stem: str) -> list[str]:
@@ -182,7 +156,7 @@ def _label_columns(stem: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_spectrum(args) -> tuple[dict, tuple]:
+def cmd_spectrum(args) -> tuple[tuple, dict]:
     """Energy (or quasienergy) curves vs theta, numerical and closed form."""
     thetas = np.linspace(0.0, math.pi, args.theta_steps)
     cfg0 = _config_from(args)
@@ -201,15 +175,10 @@ def cmd_spectrum(args) -> tuple[dict, tuple]:
     deviation = float(np.max(np.abs(numeric - closed)))
     rows = np.column_stack([thetas, numeric, closed]).tolist()
     header = ["theta"] + _label_columns("num") + _label_columns("closed")
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "params": _params_doc(args),
-        "diagnostics": {"max_num_closed_deviation": deviation},
-    }
-    return doc, (header, rows)
+    return (header, rows), {"max_num_closed_deviation": deviation}
 
 
-def cmd_berry(args) -> tuple[dict, tuple]:
+def cmd_berry(args) -> tuple[tuple, dict]:
     """Geometric-phase curves vs theta: numerical route, closed form, difference."""
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
     cfg0 = _config_from(args)
@@ -246,15 +215,10 @@ def cmd_berry(args) -> tuple[dict, tuple]:
     for lab in map(str, LABELS):
         header += [f"num_{lab}", f"closed_{lab}", f"circdiff_{lab}"]
     header.append("error")
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "params": _params_doc(args),
-        "diagnostics": {"max_circular_difference": worst, "failed_rows": failed},
-    }
-    return doc, (header, rows)
+    return (header, rows), {"max_circular_difference": worst, "failed_rows": failed}
 
 
-def cmd_chern(args) -> tuple[dict, tuple]:
+def cmd_chern(args) -> tuple[tuple, dict]:
     """Per-band Chern numbers by closed form and by the lattice method."""
     cfg = _config_from(args)
     report = geometry.chern_lattice(
@@ -265,20 +229,16 @@ def cmd_chern(args) -> tuple[dict, tuple]:
         closed = geometry.chern_closed(cfg, lab, args.regime)
         rows.append([str(lab), closed, report.c1[lab]])
     header = ["label", "closed", "lattice"]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "params": _params_doc(args),
-        "diagnostics": {
-            "min_gap": report.min_gap,
-            "n_theta": report.n_theta,
-            "n_phi": report.n_phi,
-            "band_sum": report.band_sum(),
-        },
+    diagnostics = {
+        "min_gap": report.min_gap,
+        "n_theta": report.n_theta,
+        "n_phi": report.n_phi,
+        "band_sum": report.band_sum(),
     }
-    return doc, (header, rows)
+    return (header, rows), diagnostics
 
 
-def cmd_evolve(args) -> tuple[dict, None]:
+def cmd_evolve(args) -> tuple[dict, dict]:
     """One-period phase breakdown plus propagator diagnostics."""
     cfg = _config_from(args)
     label = StateLabel(args.m1, args.m2)
@@ -292,29 +252,25 @@ def cmd_evolve(args) -> tuple[dict, None]:
         np.max(np.abs(u_exact.conj().T @ u_exact - np.eye(4)))
     )
     quad = system.dynamical_quadrature(label)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "params": _params_doc(args, {"rk4_steps": args.rk4_steps}),
-        "results": {
-            "total": breakdown.total,
-            "dynamical": breakdown.dynamical,
-            "geometric": breakdown.geometric,
-            "period": breakdown.period,
-        },
-        "diagnostics": {
-            "exact_unitarity_defect": unitarity,
-            "rk4_deviation": float(np.max(np.abs(u_exact - u_rk4))),
-            "rk4_reunitarization_norm": drift,
-            "floquet_residual": system.floquet_residual(label),
-            "dynamical_quadrature_circdiff": geometry.circular_distance(
-                geometry.fold_phase(quad), breakdown.dynamical
-            ),
-        },
+    results = {
+        "total": breakdown.total,
+        "dynamical": breakdown.dynamical,
+        "geometric": breakdown.geometric,
+        "period": breakdown.period,
     }
-    return doc, None
+    diagnostics = {
+        "exact_unitarity_defect": unitarity,
+        "rk4_deviation": float(np.max(np.abs(u_exact - u_rk4))),
+        "rk4_reunitarization_norm": drift,
+        "floquet_residual": system.floquet_residual(label),
+        "dynamical_quadrature_circdiff": geometry.circular_distance(
+            geometry.fold_phase(quad), breakdown.dynamical
+        ),
+    }
+    return results, diagnostics
 
 
-def cmd_phase_diagram(args) -> tuple[dict, tuple]:
+def cmd_phase_diagram(args) -> tuple[tuple, dict]:
     """Classified (B, Omega) grid for the phase diagram."""
     cells = phasescan.scan_diagram(
         (args.b_min, args.b_max),
@@ -327,10 +283,7 @@ def cmd_phase_diagram(args) -> tuple[dict, tuple]:
         n_workers=args.threads,
     )
     rows = []
-    counts: dict[str, int] = {}
     for cell in cells:
-        name = cell.phase.render() if cell.phase else (cell.error or "?")
-        counts[name] = counts.get(name, 0) + 1
         rows.append(
             [
                 cell.b,
@@ -342,23 +295,10 @@ def cmd_phase_diagram(args) -> tuple[dict, tuple]:
                 cell.error,
             ]
         )
+    # a cell holds either a class or the name of the error that replaced it
+    counts = Counter(row[2] or row[6] for row in rows)
     header = ["b", "omega", "class", "c_plus", "c_minus", "boundary_distance", "error"]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "params": _params_doc(
-            args,
-            {
-                "b_min": args.b_min,
-                "b_max": args.b_max,
-                "omega_min": args.omega_min,
-                "omega_max": args.omega_max,
-                "n_b": args.n_b,
-                "n_omega": args.n_omega,
-            },
-        ),
-        "diagnostics": {"class_counts": dict(sorted(counts.items()))},
-    }
-    return doc, (header, rows)
+    return (header, rows), {"class_counts": dict(sorted(counts.items()))}
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +306,7 @@ def cmd_phase_diagram(args) -> tuple[dict, tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _add_drive_flags(p, omega=False, theta=False):
+def _add_drive_flags(p):
     p.add_argument("--b", type=float, required=True, help="field magnitude (> 0)")
     p.add_argument("--t-lr", dest="t_lr", type=float, default=0.0, help="tunneling")
     p.add_argument(
@@ -375,12 +315,7 @@ def _add_drive_flags(p, omega=False, theta=False):
         default=0.0,
         help="site phase difference (sets phi_l = 0, phi_r = -phi); accepts pi literals",
     )
-    if omega:
-        p.add_argument("--omega", type=float, default=0.0, help="drive frequency")
-    if theta:
-        p.add_argument(
-            "--theta", type=parse_angle, required=True, help="polar angle in [0, pi]"
-        )
+    p.add_argument("--omega", type=float, default=0.0, help="drive frequency")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,13 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="energy curves vs theta")
-    _add_drive_flags(p, omega=True)
+    _add_drive_flags(p)
     p.add_argument("--regime", choices=("adiabatic", "rotating"), default="adiabatic")
     p.add_argument("--theta-steps", dest="theta_steps", type=int, default=200)
     p.set_defaults(handler=cmd_spectrum)
 
     p = sub.add_parser("berry", help="geometric phase curves vs theta")
-    _add_drive_flags(p, omega=True)
+    _add_drive_flags(p)
     p.add_argument(
         "--regime", choices=("adiabatic", "nonadiabatic"), default="adiabatic"
     )
@@ -414,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_berry)
 
     p = sub.add_parser("chern", help="per-band Chern numbers, both methods")
-    _add_drive_flags(p, omega=True)
+    _add_drive_flags(p)
     p.add_argument(
         "--regime", choices=("adiabatic", "nonadiabatic"), default="adiabatic"
     )
@@ -423,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_chern)
 
     p = sub.add_parser("evolve", help="one-period phase extraction")
-    _add_drive_flags(p, omega=True, theta=True)
+    _add_drive_flags(p)
+    p.add_argument("--theta", type=parse_angle, required=True, help="polar angle in [0, pi]")
     p.add_argument("--m1", type=int, choices=(-1, 1), default=1)
     p.add_argument("--m2", type=int, choices=(-1, 1), default=1)
     p.add_argument("--rk4-steps", dest="rk4_steps", type=int, default=2000)
@@ -465,8 +401,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse validation or --help
         return int(exc.code or 0)
     try:
-        doc, table = args.handler(args)
-        _emit(args, doc, table)
+        _emit(args, *args.handler(args))
     except DrivenSpinError as exc:
         print(_error_record(type(exc).__name__, str(exc)), file=sys.stderr)
         return 3

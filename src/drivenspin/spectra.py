@@ -122,7 +122,8 @@ def closed_form_adiabatic_energies(cfg: DriveConfig, label: StateLabel) -> float
     independent of theta; for the anti-phase branch it is
     -m1 b/2 sqrt(1 + lam^2 - 2 m2 lam cos(theta)).
 
-    Raises UnsupportedPhase away from the two branches.
+    Raises UnsupportedPhase away from the two branches, and NonConverged
+    where any of the four closed forms overflows to inf or nan.
     """
     return _closed_energy_table(cfg, "adiabatic")[LABELS.index(StateLabel(*label))]
 
@@ -130,7 +131,8 @@ def closed_form_adiabatic_energies(cfg: DriveConfig, label: StateLabel) -> float
 def closed_form_quasienergies(cfg: DriveConfig, label: StateLabel) -> float:
     """Rotating-frame eigenvalue (quasienergy) of one band, closed form.
 
-    At omega = 0 this reduces to ``closed_form_adiabatic_energies``.
+    At omega = 0 this reduces to ``closed_form_adiabatic_energies``; it
+    raises as that does.
     """
     return _closed_energy_table(cfg, "rotating")[LABELS.index(StateLabel(*label))]
 
@@ -154,7 +156,8 @@ def _closed_energy_table(cfg: DriveConfig, regime: str, theta=None) -> np.ndarra
 
     Band (m1, m2) has -m1 b/2 sqrt(1 + x^2 - 2 x cos(theta)), less m2 t_lr
     for in-phase quasienergies, except in-phase adiabatic -b/2 (m1 + m2 lam),
-    which that form at x = 0 rounds differently.  Overflow gives inf or nan.
+    which that form at x = 0 rounds differently.  Raises NonConverged
+    where an entry overflows to inf or nan.
 
     ``theta`` overrides cfg.theta when sweeping a grid; it may be an array,
     in which case the result has shape theta.shape + (4,).
@@ -176,6 +179,8 @@ def _closed_energy_table(cfg: DriveConfig, regime: str, theta=None) -> np.ndarra
             col = -0.5 * m1 * cfg.b * roots[0 if m2 > 0 else 1]
             cols.append(col - m2 * cfg.t_lr if regime == "rotating" and in_phase else col)
     out = np.stack([np.asarray(col, dtype=float) for col in cols], axis=-1)
+    if not np.all(np.isfinite(out)):
+        raise NonConverged("closed-form energies overflow to inf or nan")
     return out if np.ndim(th) else out.reshape(4)
 
 
@@ -240,7 +245,6 @@ def _label_bands(cfg, regime, values, theta=None, where=None):
 
     Returns (order, min_gap); order[..., k] is the column of label k.
     """
-    closed = _closed_energy_table(cfg, regime, theta)
     gaps = np.diff(values, axis=-1)
     min_gap = float(np.min(gaps))
     if min_gap < DEGENERACY_FACTOR * cfg.b:
@@ -249,8 +253,7 @@ def _label_bands(cfg, regime, values, theta=None, where=None):
             ix = np.unravel_index(int(np.argmin(np.min(gaps, axis=-1))), gaps.shape[:-1])
             message += f" at grid point {where(ix)}"
         raise DegenerateGap(message)
-    if not np.all(np.isfinite(closed)):
-        raise NonConverged("closed-form energies overflow; bands cannot be labeled")
+    closed = _closed_energy_table(cfg, regime, theta)
     residual = float(np.max(np.abs(values - np.sort(closed, axis=-1))))
     if residual > 1e-8 * cfg.b:
         raise AmbiguousMatch(

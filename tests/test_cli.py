@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -206,6 +207,19 @@ class TestErrors:
         assert code == 3 and out == ""
 
 
+    @pytest.mark.parametrize("target", ["no-such-dir/out.json", "a-directory"])
+    def test_unwritable_out_is_validation_error(self, capsys, tmp_path, target):
+        (tmp_path / "a-directory").mkdir()
+        path = str(tmp_path / target)
+        code, out, err = run_cli(
+            capsys, "--out", path, "spectrum", "--b", "2", "--theta-steps", "3"
+        )
+        assert code == 2 and out == ""
+        record = json.loads(err)
+        assert record["error"]["name"] == "ValidationError"
+        assert path in record["error"]["message"]
+
+
 class TestDeterminismAndRoundTrip:
     def test_byte_identical_repeats(self, capsys):
         argv = [
@@ -379,19 +393,28 @@ def cli_argv(draw):
     return argv + ["--n-theta", "20", "--n-phi", "20"]
 
 
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(cli_argv())
-def test_exit_code_contract(argv):
-    """Exit 0 with a JSON document, or 2/3 with only a JSON error record.
+def csv_cells(line: str) -> list[str]:
+    """Cells of one CSV line; a class literal such as (0,Z) keeps its comma."""
+    return re.split(r",(?![^(]*\))", line)
 
-    Any raw numpy warning fails the test too (warnings are errors here).
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["json", "csv"]), cli_argv())
+def test_exit_code_contract(fmt, argv):
+    """Exit 0 with a document, or 2/3 with only a JSON error record.
+
+    A CSV document has as many cells in each row as in its header.  Any raw
+    numpy warning fails the test too (warnings are errors here).
     """
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        code = main(["--format", fmt, *argv])
     assert code in (0, 2, 3)
-    if code == 0:
+    if code == 0 and fmt == "json":
         json.loads(out.getvalue())
+    elif code == 0:
+        header, *rows = out.getvalue().splitlines()
+        assert rows and all(len(csv_cells(row)) == len(csv_cells(header)) for row in rows)
     else:
         assert out.getvalue() == ""
         assert json.loads(err.getvalue().splitlines()[-1])["error"]["name"]

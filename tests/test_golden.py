@@ -3,6 +3,8 @@
 Each README command is rerun and its JSON document compared with the copy
 under ``tests/golden/``: integers, strings, booleans, nulls, error names
 and document structure must match exactly, floats within GOLDEN_ATOL.
+The phase diagram, in the README's CSV ``--out`` form, and ``evolve``, as
+a ``key,value`` record, are compared as CSV too, cell by cell.
 Numbers are compared, not bytes, because last-bit float differences
 (BLAS threading, eigensolver rounding) are expected and harmless.
 
@@ -15,6 +17,7 @@ and say in CHANGES.md why the numbers moved.
 
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -43,6 +46,7 @@ README_COMMANDS = {
     ],
     "phase_diagram": ["phase-diagram", "--t-lr", "1", "--phi", "pi"],
 }
+CSV_GOLDENS = ("evolve", "phase_diagram")
 
 
 def run_json(argv) -> dict:
@@ -51,6 +55,29 @@ def run_json(argv) -> dict:
         code = main(list(argv))
     assert code == 0, f"{argv} exited {code}"
     return json.loads(buf.getvalue())
+
+
+def run_csv(argv, path) -> str:
+    """CSV document written to ``path`` through --out, as in the README."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["--format", "csv", "--out", str(path), *argv])
+    assert code == 0 and buf.getvalue() == "", f"{argv} exited {code}"
+    return path.read_text()
+
+
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def csv_cells(text: str) -> list[list]:
+    """Rows of parsed cells; a class literal such as (0,Z) keeps its comma."""
+    return [[_cell(c) for c in re.split(r",(?![^(]*\))", line)] for line in text.splitlines()]
 
 
 def assert_matches(got, want, path="$"):
@@ -85,6 +112,19 @@ def test_readme_example_matches_golden(name):
     assert_matches(run_json(README_COMMANDS[name]), want)
 
 
+@pytest.mark.parametrize("name", CSV_GOLDENS)
+def test_readme_example_csv_matches_golden(name, tmp_path):
+    want = csv_cells((GOLDEN_DIR / f"{name}.csv").read_text())
+    got = csv_cells(run_csv(README_COMMANDS[name], tmp_path / f"{name}.csv"))
+    assert_matches(got, want)
+
+
+def test_csv_cells_parse_each_kind():
+    assert csv_cells("b,class,n\n0.5,(0,Z),3\n1e-05,,x") == [
+        ["b", "class", "n"], [0.5, "(0,Z)", 3], [1e-05, "", "x"]
+    ]
+
+
 def test_comparison_is_strict_where_it_must_be():
     doc = {"a": [1, 0.5, "x", None, True]}
     assert_matches({"a": [1, 0.5 + 1e-10, "x", None, True]}, doc)
@@ -111,3 +151,6 @@ if __name__ == "__main__":
             sys.exit(f"{name}: exit {code}")
         (GOLDEN_DIR / f"{name}.json").write_text(buf.getvalue())
         print(f"wrote {GOLDEN_DIR / name}.json")
+    for name in CSV_GOLDENS:
+        run_csv(README_COMMANDS[name], GOLDEN_DIR / f"{name}.csv")
+        print(f"wrote {GOLDEN_DIR / name}.csv")

@@ -171,6 +171,24 @@ class TestClosedForms:
                     )
                     assert np.max(np.abs(vals - closed)) < 1e-10 * cfg.b
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "closed_form,drive",
+        [
+            # mu = omega / b overflows: inf - inf under the root gives nan
+            (closed_form_quasienergies, {"omega": 1e10}),
+            # lam = 2 t_lr / b overflows in both regimes
+            (closed_form_quasienergies, {"t_lr": 1e10, "phi_r": -math.pi}),
+            (closed_form_adiabatic_energies, {"t_lr": 1e10, "phi_r": -math.pi}),
+            # in phase, -b/2 (m1 + m2 lam) is -inf
+            (closed_form_adiabatic_energies, {"t_lr": 1e10}),
+        ],
+    )
+    def test_overflow_raises_non_converged(self, closed_form, drive):
+        cfg = DriveConfig(b=1e-300, theta=1.0, **drive)
+        with pytest.raises(NonConverged):
+            closed_form(cfg, StateLabel(1, 1))
+
 
 class TestLabeling:
     def test_success_case(self):
@@ -223,14 +241,15 @@ def brute_force_labels(es, cfg, regime):
 
     Returns the column of each label (LABELS order) or the error name.
     """
-    if regime == "adiabatic":
-        closed = [closed_form_adiabatic_energies(cfg, lab) for lab in LABELS]
-    else:
-        closed = [closed_form_quasienergies(cfg, lab) for lab in LABELS]
     values = es.values
     if np.min(np.diff(values)) < DEGENERACY_FACTOR * cfg.b:
         return "DegenerateGap"
-    if not all(math.isfinite(e) for e in closed):
+    try:
+        if regime == "adiabatic":
+            closed = [closed_form_adiabatic_energies(cfg, lab) for lab in LABELS]
+        else:
+            closed = [closed_form_quasienergies(cfg, lab) for lab in LABELS]
+    except NonConverged:
         return "NonConverged"
     costs = sorted(
         (sum(abs(values[p[k]] - closed[k]) for k in range(4)), p)
