@@ -57,6 +57,8 @@ def parse_angle(text: str) -> float:
     sign = -1.0 if m.group(1) == "-" else 1.0
     coef = float(m.group(2)) if m.group(2) else 1.0
     div = float(m.group(3)) if m.group(3) else 1.0
+    if div == 0.0:
+        raise argparse.ArgumentTypeError(f"invalid angle {text!r}: zero divisor")
     return sign * coef * math.pi / div
 
 
@@ -280,7 +282,6 @@ def cmd_phase_diagram(args) -> tuple[tuple, dict]:
         n_b=args.n_b,
         n_omega=args.n_omega,
         method=args.method,
-        n_workers=args.threads,
     )
     rows = []
     for cell in cells:
@@ -306,6 +307,22 @@ def cmd_phase_diagram(args) -> tuple[tuple, dict]:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that ends each usage error with a JSON error record.
+
+    An argument starting '-' and then a digit, a point or a pi literal
+    ('-1e-5', '-.5', '-pi/2') is a value, not a flag.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|[\d.]*\*?pi)", re.IGNORECASE)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, _error_record("ValidationError", message) + "\n")
+
+
 def _add_drive_flags(p):
     p.add_argument("--b", type=float, required=True, help="field magnitude (> 0)")
     p.add_argument("--t-lr", dest="t_lr", type=float, default=0.0, help="tunneling")
@@ -319,14 +336,14 @@ def _add_drive_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drivenspin",
         description="Geometric phases and topological invariants of a driven "
         "two-site spin qubit",
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--threads", type=int, default=1, help="scan worker threads (>= 1)")
+    parser.add_argument("--threads", type=int, default=1, help="accepted, no effect (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="energy curves vs theta")

@@ -136,6 +136,8 @@ def propagator_exact(cfg: DriveConfig, t: float) -> np.ndarray:
     spectral decomposition of the static rotating-frame Hamiltonian, so the
     result is unitary to roundoff.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     return CyclicSystem.of(cfg).propagator(t)
 
 
@@ -162,6 +164,8 @@ def propagator_rk4(
 
     Raises NonConverged if the transfer-matrix product or its drift overflows.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     _require_driven(cfg)
     n = int(n_steps)
     if n < 1000:

@@ -152,6 +152,10 @@ def lattice_flux(states: np.ndarray) -> np.ndarray:
         integer up to floating-point roundoff.
     """
     states = np.asarray(states)
+    if states.ndim < 3 or states.shape[0] < 2 or states.shape[1] < 1:
+        raise ValueError(
+            f"states need at least 2 theta rows and 1 varphi column, got shape {states.shape}"
+        )
     # links along varphi (wrapping) and along theta
     links_p = np.einsum(
         "ijk...,ijk...->ij...", np.conj(states), np.roll(states, -1, axis=1)
@@ -403,6 +407,8 @@ def curvature_numeric(
     Cells centered at the poles reach slightly outside [0, pi], where the
     Hamiltonian family extends smoothly.
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and > 0, got {h}")
     label = StateLabel(*label)
     th = np.array([theta - h / 2.0, theta + h / 2.0])
     ph = np.array([varphi - h / 2.0, varphi + h / 2.0])

@@ -10,7 +10,6 @@ always.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +125,6 @@ def scan_diagram(
     n_b: int,
     n_omega: int,
     method: str = "closed",
-    n_workers: int = 1,
 ) -> list[PhaseDiagramCell]:
     """Classify a cell-centered grid over (B, Omega).
 
@@ -135,14 +133,10 @@ def scan_diagram(
     starts at zero.  Per-cell failures are recorded in the cell, never
     raised; the scan always completes.
 
-    Returns the cells in row-major order (B outer, Omega inner),
-    independent of ``n_workers``.  Only lattice cells, which spend their
-    time in LAPACK outside the GIL, go to a pool of ``n_workers`` threads.
+    Returns the cells in row-major order (B outer, Omega inner).
     """
     if n_b < 2 or n_omega < 2:
         raise ValueError("n_b and n_omega must both be at least 2")
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     b_lo, b_hi = map(float, b_range)
     w_lo, w_hi = map(float, omega_range)
     if b_hi < b_lo or w_hi < w_lo:
@@ -153,8 +147,4 @@ def scan_diagram(
     DriveConfig(b=1.0, theta=0.0, phi_l=0.0, phi_r=-phi, t_lr=t_lr).phase_branch()
     bs = b_lo + (np.arange(n_b) + 0.5) * (b_hi - b_lo) / n_b
     ws = w_lo + (np.arange(n_omega) + 0.5) * (w_hi - w_lo) / n_omega
-    tasks = [(float(b), float(w)) for b in bs for w in ws]
-    if n_workers > 1 and method == "lattice":
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(lambda bw: _scan_cell(*bw, t_lr, phi, method), tasks))
-    return [_scan_cell(b, w, t_lr, phi, method) for b, w in tasks]
+    return [_scan_cell(float(b), float(w), t_lr, phi, method) for b in bs for w in ws]

@@ -230,6 +230,8 @@ def build_hamiltonian(cfg: DriveConfig, s: float) -> np.ndarray:
     The result is Hermitian and 2 pi periodic in s; its spectrum is
     independent of s (a joint shift of the drive phases is a frame choice).
     """
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     return _lab_hamiltonian(cfg.b, cfg.theta, cfg.phi_l, cfg.phi_r, cfg.t_lr, float(s))
 
 

@@ -36,7 +36,7 @@ class TestAngleParsing:
     def test_valid(self, text, value):
         assert parse_angle(text) == pytest.approx(value, abs=1e-15)
 
-    @pytest.mark.parametrize("text", ["two pi", "pi/", "pp", "1.2.3"])
+    @pytest.mark.parametrize("text", ["two pi", "pi/", "pp", "1.2.3", "pi/0"])
     def test_invalid(self, text):
         import argparse
 
@@ -176,6 +176,26 @@ class TestErrors:
         )
         assert code == 2 and out == ""
         assert "--threads" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["spectrum --b 2 --phi pi/0", "evolve --b 2 --theta 0pi/0 --omega 1"],
+    )
+    def test_zero_divisor_angle_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2 and out == ""
+        # usage errors end in the same JSON error record as every other failure
+        record = json.loads(err.splitlines()[-1])["error"]
+        assert record["name"] == "ValidationError"
+        assert "zero divisor" in record["message"]
+
+    @pytest.mark.parametrize("text", ["-pi", "-3*pi"])
+    def test_negative_pi_literal_is_a_value(self, capsys, text):
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--b", "2", "--phi", text, "--theta-steps", "2"
+        )
+        assert code == 0
+        assert json.loads(out)["params"]["phi"] == parse_angle(text)
 
     @pytest.mark.parametrize("command", ["spectrum", "berry"])
     @pytest.mark.parametrize("value", ["0", "-3"])
@@ -362,7 +382,7 @@ def cli_argv(draw):
     command = draw(
         st.sampled_from(["spectrum", "berry", "chern", "evolve", "phase-diagram"])
     )
-    phi = draw(st.sampled_from(["0", "pi"]))
+    phi = draw(st.sampled_from(["0", "pi", "2pi", "-pi", "pi/1", "3pi/0"]))
     if command == "phase-diagram":
         b_lo, b_hi = sorted([draw(_MAGNITUDE), draw(_MAGNITUDE)], key=float)
         w_lo, w_hi = sorted([draw(_MAGNITUDE), draw(_MAGNITUDE)], key=float)

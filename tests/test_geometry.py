@@ -11,6 +11,7 @@ from drivenspin import (
     OnTransition,
     StateLabel,
     aa_phase_closed,
+    build_hamiltonian,
     berry_phase_closed,
     berry_phase_wilson,
     chern_closed,
@@ -20,6 +21,8 @@ from drivenspin import (
     curvature_numeric,
     fold_phase,
     lattice_flux,
+    propagator_exact,
+    propagator_rk4,
     rotating_sz_expectation,
     wilson_loop_phase,
 )
@@ -410,3 +413,35 @@ def test_closed_forms_refuse_overflowing_sector_parameter(closed_form):
     for lab in LABELS:
         with pytest.raises(NonConverged):
             closed_form(cfg, lab)
+
+
+_DRIVEN = DriveConfig(b=2.0, theta=1.0, phi_r=-math.pi, omega=1.5, t_lr=1.0)
+
+
+def _curvature_cell(h):
+    return curvature_numeric(_DRIVEN, 1.0, 0.0, StateLabel(1, 1), "adiabatic", h=h)
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: propagator_rk4(_DRIVEN, math.inf, 1000), "t"),
+        (lambda: propagator_rk4(_DRIVEN, math.nan, 1000), "t"),
+        (lambda: propagator_exact(_DRIVEN, -math.inf), "t"),
+        (lambda: build_hamiltonian(_DRIVEN, math.inf), "s"),
+        (lambda: build_hamiltonian(_DRIVEN, math.nan), "s"),
+        (lambda: _curvature_cell(0.0), "h"),
+        (lambda: _curvature_cell(-1e-3), "h"),
+        (lambda: _curvature_cell(math.inf), "h"),
+        (lambda: lattice_flux(np.ones((1, 4, 4), dtype=complex)), "states"),
+        (lambda: lattice_flux(np.ones((4, 0, 4), dtype=complex)), "states"),
+    ],
+    ids=[
+        "rk4-inf", "rk4-nan", "exact-inf", "build-inf", "build-nan",
+        "curvature-zero", "curvature-negative", "curvature-inf", "flux-one-row", "flux-no-column",
+    ],
+)
+def test_numeric_entry_points_refuse_bad_arguments(call, name):
+    # raised before any arithmetic: no numpy warning (an error here), nan or numpy ValueError
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        call()

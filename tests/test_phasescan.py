@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -150,24 +151,25 @@ class TestScanDiagram:
             width = np.sum(flags) * (omegas[1] - omegas[0])
             assert width == pytest.approx(4 * t_lr, abs=2 * (omegas[1] - omegas[0]))
 
-    def test_workers_do_not_change_output(self):
-        kwargs = dict(t_lr=1.0, phi=math.pi, n_b=8, n_omega=8)
-        a = scan_diagram((0, 6), (0, 6), **kwargs)
-        b = scan_diagram((0, 6), (0, 6), n_workers=4, **kwargs)
-        assert a == b
-        # lattice scans are the ones that go to the thread pool
-        kwargs = dict(t_lr=1.0, phi=math.pi, n_b=2, n_omega=2, method="lattice")
-        a = scan_diagram((1, 4), (0.5, 4), **kwargs)
-        b = scan_diagram((1, 4), (0.5, 4), n_workers=2, **kwargs)
-        assert a == b
+    def test_every_cell_runs_on_the_calling_thread(self, monkeypatch):
+        scan_cell = phasescan._scan_cell
+        threads = []
 
-    def test_closed_scan_runs_on_calling_thread(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("closed scans must not start a thread pool")
+        def recording_cell(*args):
+            threads.append(threading.get_ident())
+            return scan_cell(*args)
 
-        monkeypatch.setattr(phasescan, "ThreadPoolExecutor", no_pool)
-        cells = scan_diagram((0, 6), (0, 6), 1.0, math.pi, 4, 4, "closed", n_workers=4)
-        assert cells == scan_diagram((0, 6), (0, 6), 1.0, math.pi, 4, 4)
+        monkeypatch.setattr(phasescan, "_scan_cell", recording_cell)
+        closed = scan_diagram((0, 6), (0, 6), 1.0, math.pi, 4, 4)
+        kwargs = dict(t_lr=1.0, phi=math.pi, n_b=2, n_omega=2)
+        lattice = scan_diagram((1, 4), (0.5, 4), method="lattice", **kwargs)
+        assert threads == [threading.get_ident()] * 20
+        assert len(closed) == 16 and len(lattice) == 4
+        # the lattice route classifies every cell as the closed route does
+        assert [c.phase for c in lattice] == [
+            c.phase for c in scan_diagram((1, 4), (0.5, 4), **kwargs)
+        ]
+        assert all(c.phase is not None for c in lattice)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -176,11 +178,6 @@ class TestScanDiagram:
             scan_diagram((6, 0), (0, 6), 1.0, math.pi, 10, 10)
         with pytest.raises(UnsupportedPhase):
             scan_diagram((0, 6), (0, 6), 1.0, 0.3, 4, 4)
-
-    @pytest.mark.parametrize("n_workers", [0, -3])
-    def test_workers_below_one_rejected(self, n_workers):
-        with pytest.raises(ValueError):
-            scan_diagram((0, 6), (0, 6), 1.0, math.pi, 4, 4, "closed", n_workers)
 
 
 @st.composite
