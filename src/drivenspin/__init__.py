@@ -28,7 +28,6 @@ from .evolution import (
 )
 from .geometry import (
     ChernReport,
-    CurvatureSample,
     aa_phase_closed,
     berry_phase_closed,
     berry_phase_wilson,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousMatch",
     "ChernReport",
-    "CurvatureSample",
     "DegenerateGap",
     "DriveConfig",
     "DrivenSpinError",

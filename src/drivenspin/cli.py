@@ -38,6 +38,20 @@ from .spectra import _closed_energy_table, band_order, eigh_stack
 
 SCHEMA_VERSION = 1
 
+#: Largest grid one command may request: theta rows, Wilson-loop points,
+#: lattice sites, RK4 steps or diagram cells.  Larger grids exhaust memory
+#: or run for hours, so they are refused before any computation.
+MAX_GRID_POINTS = 2**20
+
+#: (flags, their attributes, points per unit) of each grid a command can request
+_GRIDS = (
+    ("--theta-steps", ("theta_steps",), 1),
+    ("--n-steps", ("n_steps",), 2),  # the Wilson loop's finest grid
+    ("--n-theta * --n-phi", ("n_theta", "n_phi"), 1),
+    ("--rk4-steps", ("rk4_steps",), 1),
+    ("--n-b * --n-omega", ("n_b", "n_omega"), 1),
+)
+
 _ANGLE_RE = re.compile(
     r"^([+-]?)(\d+\.?\d*|\.\d+)?\*?pi(?:/(\d+\.?\d*|\.\d+))?$", re.IGNORECASE
 )
@@ -233,8 +247,8 @@ def cmd_chern(args) -> tuple[tuple, dict]:
     header = ["label", "closed", "lattice"]
     diagnostics = {
         "min_gap": report.min_gap,
-        "n_theta": report.n_theta,
-        "n_phi": report.n_phi,
+        "n_theta": args.n_theta,
+        "n_phi": args.n_phi,
         "band_sum": report.band_sum(),
     }
     return (header, rows), diagnostics
@@ -415,6 +429,14 @@ def main(argv=None) -> int:
             parser.error(
                 f"argument --theta-steps: must be at least 1, got {args.theta_steps}"
             )
+        for flags, keys, unit in _GRIDS:
+            if hasattr(args, keys[0]):
+                points = unit * math.prod(getattr(args, k) for k in keys)
+                if points > MAX_GRID_POINTS:
+                    parser.error(
+                        f"argument {flags}: {points} grid points exceed the cap of "
+                        f"{MAX_GRID_POINTS}"
+                    )
     except SystemExit as exc:  # argparse validation or --help
         return int(exc.code or 0)
     try:

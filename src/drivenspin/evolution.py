@@ -27,6 +27,11 @@ from .qmodel import (
 )
 from .spectra import EigenSystem, LabeledSpectrum, eigensystem, label_eigenstates
 
+#: Largest re-unitarization correction (drift) an RK4 endpoint may need.
+#: Resolved drive periods drift by about 1e-8 at 1000 steps; a step near
+#: RK4's stability limit drifts by O(1).
+RK4_DRIFT_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class PhaseBreakdown:
@@ -149,7 +154,7 @@ def propagator_rk4(
     Independent of the rotating-frame route: the lab Hamiltonian is
     evaluated on the fly at each stage.  The raw endpoint is polished back
     onto the unitary group by polar decomposition; the size of that
-    correction is available via ``return_drift``.
+    correction (the drift) is available via ``return_drift``.
 
     Parameters
     ----------
@@ -160,9 +165,11 @@ def propagator_rk4(
     n_steps : int
         Number of RK4 steps, at least 1000; global error is O(n_steps^-4).
     return_drift : bool
-        If true, also return the norm of the re-unitarization correction.
+        If true, also return the drift.
 
-    Raises NonConverged if the transfer-matrix product or its drift overflows.
+    Raises NonConverged if the transfer-matrix product or its drift
+    overflows, or if the drift exceeds RK4_DRIFT_TOL: the steps are then
+    too coarse to resolve t.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
@@ -197,13 +204,16 @@ def propagator_rk4(
     # polar projection onto the closest unitary
     w, _, vh = np.linalg.svd(u)
     unitary = w @ vh
-    if return_drift:
-        with np.errstate(over="ignore"):
-            drift = float(np.linalg.norm(unitary - u))
-        if not math.isfinite(drift):
-            raise NonConverged(f"RK4 endpoint too large to measure its drift: t = {t:.3e}")
-        return unitary, drift
-    return unitary
+    with np.errstate(over="ignore"):
+        drift = float(np.linalg.norm(unitary - u))
+    if not math.isfinite(drift):
+        raise NonConverged(f"RK4 endpoint too large to measure its drift: t = {t:.3e}")
+    if drift > RK4_DRIFT_TOL:
+        raise NonConverged(
+            f"RK4 endpoint drifted {drift:.2e} off the unitary group (tolerance "
+            f"{RK4_DRIFT_TOL:.0e}); {n} steps cannot resolve t = {t:.3e}, use more steps"
+        )
+    return (unitary, drift) if return_drift else unitary
 
 
 def extract_phases(cfg: DriveConfig, label: StateLabel) -> PhaseBreakdown:

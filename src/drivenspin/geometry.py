@@ -363,20 +363,10 @@ def aa_phase_closed(cfg: DriveConfig, label: StateLabel) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    """Curvature density (coefficient of d varphi wedge d theta) at one point."""
-
-    theta: float
-    value: float
-    label: StateLabel
-    regime: str
-
-
 def curvature_closed(
     cfg: DriveConfig, theta: float, label: StateLabel, regime: str
-) -> CurvatureSample:
-    """Closed-form curvature density of one band.
+) -> float:
+    """Closed-form curvature density of one band (coefficient of d varphi ^ d theta).
 
     All four branches share the shape
     m1 (sin(theta)/2) (1 - x cos(theta)) / (1 + x^2 - 2 x cos(theta))^(3/2)
@@ -387,8 +377,7 @@ def curvature_closed(
         den = np.float64(d) ** 1.5
     if not np.isfinite(den):
         raise NonConverged(f"closed-form curvature overflows at |x| = {abs(x)}")
-    value = float(m1 * 0.5 * math.sin(theta) * (1.0 - x * c) / den)
-    return CurvatureSample(theta=float(theta), value=value, label=StateLabel(*label), regime=regime)
+    return float(m1 * 0.5 * math.sin(theta) * (1.0 - x * c) / den)
 
 
 def curvature_numeric(
@@ -398,31 +387,25 @@ def curvature_numeric(
     label: StateLabel,
     regime: str,
     h: float = 1e-3,
-) -> CurvatureSample:
+) -> float:
     """Plaquette field strength around an h x h cell centered at (theta, varphi).
 
-    The four corner states come from the grid band-state builders, which
-    diagonalize each corner independently; the cell phase is gauge
-    invariant and converges to ``curvature_closed`` as O(h^2).
-    Cells centered at the poles reach slightly outside [0, pi], where the
-    Hamiltonian family extends smoothly.
+    The cell phase is the Wilson loop over the (theta, varphi) corners
+    00 -> 01 -> 11 -> 10, varphi edge first as in ``lattice_flux``, whose
+    states the grid band-state builders diagonalize independently.  It
+    converges to ``curvature_closed`` as O(h^2); a cell too coarse for its
+    overlaps raises NonConverged.  Cells centered at the poles reach
+    slightly outside [0, pi], where the Hamiltonian family extends smoothly.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"h must be finite and > 0, got {h}")
-    label = StateLabel(*label)
     th = np.array([theta - h / 2.0, theta + h / 2.0])
     ph = np.array([varphi - h / 2.0, varphi + h / 2.0])
     _require_regime(regime)
     builder = _adiabatic_band_states if regime == "adiabatic" else _rotating_band_states
     states, _ = builder(cfg, th, ph)
-    corner = states[..., LABELS.index(label)]
-    u00, u01 = corner[0, 0], corner[0, 1]
-    u10, u11 = corner[1, 0], corner[1, 1]
-    plaq = (
-        np.vdot(u00, u01) * np.vdot(u01, u11) * np.vdot(u11, u10) * np.vdot(u10, u00)
-    )
-    value = float(np.angle(plaq) / (h * h))
-    return CurvatureSample(theta=float(theta), value=value, label=label, regime=regime)
+    corner = states[..., LABELS.index(StateLabel(*label))]
+    return -wilson_loop_phase(corner[[0, 0, 1, 1], [0, 1, 1, 0]]) / (h * h)
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +415,10 @@ def curvature_numeric(
 
 @dataclass(frozen=True)
 class ChernReport:
-    """Lattice Chern numbers of all four bands plus grid diagnostics."""
+    """Lattice Chern numbers of all four bands and the smallest band gap on the grid."""
 
     c1: dict[StateLabel, int]
-    n_theta: int
-    n_phi: int
     min_gap: float
-    regime: str
 
     def band_sum(self) -> int:
         return sum(self.c1.values())
@@ -494,9 +474,7 @@ def chern_lattice(
                 "integer to 1e-9; refine the grid"
             )
         c1[lab] = int(rounded)
-    return ChernReport(
-        c1=c1, n_theta=int(n_theta), n_phi=int(n_phi), min_gap=min_gap, regime=regime
-    )
+    return ChernReport(c1=c1, min_gap=min_gap)
 
 
 def chern_closed(cfg: DriveConfig, label: StateLabel, regime: str) -> int:

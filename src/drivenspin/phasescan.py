@@ -49,7 +49,6 @@ class PhaseDiagramCell:
     b: float
     omega: float
     phase: PhaseClass | None
-    method: str
     boundary_distance: float
     error: str | None = None
 
@@ -112,9 +111,7 @@ def _scan_cell(b, omega, t_lr, phi, method):
         phase = classify_point(cfg, method=method)
     except DrivenSpinError as exc:
         error = type(exc).__name__
-    return PhaseDiagramCell(
-        b=b, omega=omega, phase=phase, method=method, boundary_distance=dist, error=error
-    )
+    return PhaseDiagramCell(b, omega, phase, dist, error)
 
 
 def scan_diagram(

@@ -229,7 +229,7 @@ def test_criterion_6_evolution_cross_checks():
                 )
                 numeric = ds.curvature_numeric(cfg, theta, 0.2, lab, "nonadiabatic")
                 worst_curv = max(
-                    worst_curv, abs(numeric.value - (up - dn) / (2 * eps))
+                    worst_curv, abs(numeric - (up - dn) / (2 * eps))
                 )
     assert worst_curv <= 1e-4
     _report(
@@ -303,7 +303,7 @@ def test_criterion_7_property_suites():
             cfg = _cfg(t_lr=0.9)
             na = ds.curvature_closed(cfg, theta, lab, "nonadiabatic")
             ad = ds.curvature_closed(cfg, theta, lab, "adiabatic")
-            assert abs(na.value - ad.value) <= 1e-12
+            assert abs(na - ad) <= 1e-12
             anti = _cfg(phi=math.pi, t_lr=0.0)
             in_phase = _cfg(phi=0.0, t_lr=0.0)
             assert (

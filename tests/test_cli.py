@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivenspin.cli import main, parse_angle
+from drivenspin import cli
+from drivenspin.cli import MAX_GRID_POINTS, main, parse_angle
+from drivenspin.evolution import RK4_DRIFT_TOL
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +136,18 @@ class TestErrors:
             assert out == ""
             assert json.loads(err)["error"]["name"] == "NonConverged"
 
+    def test_unresolved_rk4_period_is_computational_failure(self, capsys):
+        # 2000 steps sit near RK4's stability limit: the endpoint decays
+        # instead of staying unitary, so its drift is far above the tolerance
+        code, out, err = run_cli(
+            capsys, "evolve", "--b", "7435.899713322316", "--theta", "2.0477539069550894",
+            "--t-lr", "0.024547226558940705", "--phi", "pi", "--omega", "7.628014810968127",
+        )
+        assert code == 3 and out == ""
+        record = json.loads(err)["error"]
+        assert record["name"] == "NonConverged"
+        assert "more steps" in record["message"]
+
     @pytest.mark.parametrize(
         "argv,name",
         [
@@ -226,6 +240,39 @@ class TestErrors:
         code, out, err = run_cli(capsys, "spectrum", *drive, "--theta-steps", "3")
         assert code == 3 and out == ""
 
+
+    @pytest.mark.parametrize(
+        "argv,flag,at_cap",
+        [
+            ("spectrum --b 2 --theta-steps {}", "--theta-steps", (MAX_GRID_POINTS,)),
+            ("berry --b 2 --n-steps {}", "--n-steps", (MAX_GRID_POINTS // 2,)),
+            ("chern --b 2 --n-theta {} --n-phi {}", "--n-theta * --n-phi", (1024, 1024)),
+            ("evolve --b 2 --theta 1 --omega 1 --rk4-steps {}", "--rk4-steps",
+             (MAX_GRID_POINTS,)),
+            ("phase-diagram --n-b {} --n-omega {}", "--n-b * --n-omega", (1024, 1024)),
+        ],
+    )
+    def test_grid_above_cap_refused_before_any_handler(
+        self, capsys, monkeypatch, argv, flag, at_cap
+    ):
+        class Reached(Exception):
+            pass
+
+        def handler(args):
+            raise Reached
+
+        for name in ("cmd_spectrum", "cmd_berry", "cmd_chern", "cmd_evolve",
+                     "cmd_phase_diagram"):
+            monkeypatch.setattr(cli, name, handler)
+        # at the cap the command reaches its handler; one more unit is refused
+        with pytest.raises(Reached):
+            main(argv.format(*at_cap).split())
+        above = (at_cap[0] + 1, *at_cap[1:])
+        code, out, err = run_cli(capsys, *argv.format(*above).split())
+        assert code == 2 and out == ""
+        record = json.loads(err.splitlines()[-1])["error"]
+        assert record["name"] == "ValidationError"
+        assert f"argument {flag}:" in record["message"]
 
     @pytest.mark.parametrize("target", ["no-such-dir/out.json", "a-directory"])
     def test_unwritable_out_is_validation_error(self, capsys, tmp_path, target):
@@ -430,6 +477,9 @@ def test_exit_code_contract(fmt, argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["--format", fmt, *argv])
     assert code in (0, 2, 3)
+    if code == 0 and argv[0] == "evolve":  # an accepted RK4 period is resolved
+        drift = re.search(r'rk4_reunitarization_norm"?[:,] ?([^,}\n]+)', out.getvalue())
+        assert float(drift.group(1)) <= RK4_DRIFT_TOL
     if code == 0 and fmt == "json":
         json.loads(out.getvalue())
     elif code == 0:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drivenspin import (
     DegenerateGap,
@@ -198,7 +200,7 @@ class TestCurvature:
         cfg = DriveConfig(b=2.0, theta=0.0, t_lr=0.7)
         for m1, m2 in LABELS:
             sample = curvature_closed(cfg, math.pi / 2, StateLabel(m1, m2), "adiabatic")
-            assert sample.value == pytest.approx(0.5 * m1, abs=1e-15)
+            assert sample == pytest.approx(0.5 * m1, abs=1e-15)
 
     def test_overflow_is_named(self):
         # (1 + mu^2)^(3/2) overflows although mu itself is finite
@@ -210,7 +212,7 @@ class TestCurvature:
         cfg = anti_phase(t_lr=50.0)
         for theta in np.linspace(0.1, math.pi - 0.1, 7):
             sample = curvature_closed(cfg, theta, StateLabel(1, 1), "adiabatic")
-            assert abs(sample.value) < 1e-3
+            assert abs(sample) < 1e-3
 
     def test_mu0_reduces_to_adiabatic(self):
         cfg = DriveConfig(b=2.0, theta=0.0, omega=0.0, t_lr=0.9)
@@ -218,18 +220,18 @@ class TestCurvature:
             for lab in LABELS:
                 na = curvature_closed(cfg, theta, lab, "nonadiabatic")
                 ad = curvature_closed(cfg, theta, lab, "adiabatic")
-                assert na.value == pytest.approx(ad.value, abs=1e-12)
+                assert na == pytest.approx(ad, abs=1e-12)
 
     def test_numeric_matches_closed_in_phase(self):
         cfg = DriveConfig(b=2.0, theta=0.0, t_lr=0.7)
         for m1 in (+1, -1):
             got = curvature_numeric(cfg, math.pi / 2, 0.3, StateLabel(m1, 1), "adiabatic")
-            assert got.value == pytest.approx(0.5 * m1, abs=1e-4)
+            assert got == pytest.approx(0.5 * m1, abs=1e-4)
 
     def test_numeric_pole_vanishes(self):
         cfg = DriveConfig(b=2.0, theta=0.0, t_lr=0.7)
         got = curvature_numeric(cfg, 0.0, 0.0, StateLabel(1, 1), "adiabatic")
-        assert abs(got.value) < 1e-6
+        assert abs(got) < 1e-6
 
     def test_numeric_matches_closed_nonadiabatic(self):
         cfg = anti_phase(omega=1.5, t_lr=1.0)
@@ -237,7 +239,7 @@ class TestCurvature:
         for lab in LABELS:
             closed = curvature_closed(cfg, math.pi / 3, lab, "nonadiabatic")
             numeric = curvature_numeric(cfg, math.pi / 3, 0.0, lab, "nonadiabatic")
-            assert numeric.value == pytest.approx(closed.value, abs=1e-4)
+            assert numeric == pytest.approx(closed, abs=1e-4)
 
     def test_vanishes_at_poles(self):
         # sin(theta) prefactor; at theta = pi only up to float pi roundoff
@@ -245,7 +247,7 @@ class TestCurvature:
         for theta in (0.0, math.pi):
             for regime in ("adiabatic", "nonadiabatic"):
                 for lab in LABELS:
-                    assert abs(curvature_closed(cfg, theta, lab, regime).value) < 1e-15
+                    assert abs(curvature_closed(cfg, theta, lab, regime)) < 1e-15
 
     def test_consistency_with_connection_derivative(self):
         # F = + d<Sz_total>/dtheta with the package orientation
@@ -263,7 +265,37 @@ class TestCurvature:
                 )
                 deriv = (up - dn) / (2 * eps)
                 numeric = curvature_numeric(cfg, theta, 0.1, lab, "nonadiabatic")
-                assert numeric.value == pytest.approx(deriv, abs=1e-4)
+                assert numeric == pytest.approx(deriv, abs=1e-4)
+
+    @staticmethod
+    def _four_overlap_cell(cfg, theta, varphi, label, regime, h=1e-3):
+        # the cell product written out overlap by overlap, as an independent reference
+        th = np.array([theta - h / 2.0, theta + h / 2.0])
+        ph = np.array([varphi - h / 2.0, varphi + h / 2.0])
+        builder = _adiabatic_band_states if regime == "adiabatic" else _rotating_band_states
+        states, _ = builder(cfg, th, ph)
+        u = states[..., LABELS.index(label)]
+        plaq = (
+            np.vdot(u[0, 0], u[0, 1]) * np.vdot(u[0, 1], u[1, 1])
+            * np.vdot(u[1, 1], u[1, 0]) * np.vdot(u[1, 0], u[0, 0])
+        )
+        return float(np.angle(plaq)) / (h * h)
+
+    @pytest.mark.parametrize("regime", ["adiabatic", "nonadiabatic"])
+    @pytest.mark.parametrize("phi_r", [0.0, -math.pi])
+    def test_numeric_is_the_four_overlap_cell(self, regime, phi_r):
+        cfg = DriveConfig(b=2.0, theta=0.0, phi_r=phi_r, omega=1.5, t_lr=0.8)
+        for theta in (0.0, 0.4, 1.3, 2.5, math.pi):
+            for lab in LABELS:
+                got = curvature_numeric(cfg, theta, 0.3, lab, regime)
+                ref = self._four_overlap_cell(cfg, theta, 0.3, lab, regime)
+                assert got == pytest.approx(ref, abs=1e-8)
+
+    def test_coarse_cell_is_not_converged(self):
+        # corner overlaps drop below 0.5 across a 2.2-wide cell
+        cfg = DriveConfig(b=2.0, theta=0.0, t_lr=0.3)
+        with pytest.raises(NonConverged):
+            curvature_numeric(cfg, math.pi / 2, 0.0, StateLabel(1, 1), "adiabatic", h=2.2)
 
 
 class TestChernLattice:
@@ -395,6 +427,46 @@ class TestGaugeInvariance:
         for band in range(4):
             flux = lattice_flux(states[:, :, :, band])
             assert abs(flux - round(flux)) < 1e-9
+
+
+_DRIVE_POINTS = st.builds(
+    DriveConfig,
+    b=st.floats(0.5, 4.0),
+    theta=st.just(0.0),
+    phi_r=st.sampled_from([0.0, -math.pi]),
+    omega=st.floats(0.0, 3.0),
+    t_lr=st.floats(0.0, 2.0),
+)
+_REGIMES = st.sampled_from(["adiabatic", "nonadiabatic"])
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(_DRIVE_POINTS, _REGIMES, st.integers(1, 18), st.integers(0, 2**32 - 1))
+def test_loop_and_flux_ignore_per_state_phases(cfg, regime, row, seed):
+    builder = _adiabatic_band_states if regime == "adiabatic" else _rotating_band_states
+    thetas = np.linspace(0.0, math.pi, 20)
+    phis = 2 * math.pi * np.arange(20) / 20
+    try:
+        states, _ = builder(cfg, thetas, phis)
+    except DegenerateGap:  # a band touching on the grid
+        return
+    gauge = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * math.pi, (20, 20, 1, 4)))
+    gauged = states * gauge
+    loop, gauged_loop = wilson_loop_phase(states[row]), wilson_loop_phase(gauged[row])
+    for a, b in zip(loop, gauged_loop):
+        assert circular_distance(a, b) < 1e-9
+    assert np.max(np.abs(lattice_flux(gauged) - lattice_flux(states))) < 1e-9
+
+
+@_PROPERTY
+@given(_DRIVE_POINTS, _REGIMES)
+def test_chern_numbers_sum_to_zero(cfg, regime):
+    try:
+        report = chern_lattice(cfg, 20, 20, regime)
+    except DegenerateGap:
+        return
+    assert report.band_sum() == 0
 
 
 @pytest.mark.parametrize(
