@@ -38,15 +38,17 @@ from .spectra import _closed_energy_table, band_order, eigh_stack
 
 SCHEMA_VERSION = 1
 
-#: Largest grid one command may request: theta rows, Wilson-loop points,
-#: lattice sites, RK4 steps or diagram cells.  Larger grids exhaust memory
-#: or run for hours, so they are refused before any computation.
+#: Largest grid one command may request: theta rows, Wilson-loop points
+#: summed over the rows, lattice sites, RK4 steps or diagram cells.  Larger
+#: grids exhaust memory or run for hours, so they are refused before any
+#: computation.
 MAX_GRID_POINTS = 2**20
 
 #: (flags, their attributes, points per unit) of each grid a command can request
 _GRIDS = (
     ("--theta-steps", ("theta_steps",), 1),
-    ("--n-steps", ("n_steps",), 2),  # the Wilson loop's finest grid
+    # berry: one Wilson loop per theta row, each up to 2 * --n-steps points
+    ("--theta-steps * 2 * --n-steps", ("theta_steps", "n_steps"), 2),
     ("--n-theta * --n-phi", ("n_theta", "n_phi"), 1),
     ("--rk4-steps", ("rk4_steps",), 1),
     ("--n-b * --n-omega", ("n_b", "n_omega"), 1),
@@ -430,7 +432,7 @@ def main(argv=None) -> int:
                 f"argument --theta-steps: must be at least 1, got {args.theta_steps}"
             )
         for flags, keys, unit in _GRIDS:
-            if hasattr(args, keys[0]):
+            if all(hasattr(args, k) for k in keys):
                 points = unit * math.prod(getattr(args, k) for k in keys)
                 if points > MAX_GRID_POINTS:
                     parser.error(

@@ -32,6 +32,12 @@ from .spectra import EigenSystem, LabeledSpectrum, eigensystem, label_eigenstate
 #: RK4's stability limit drifts by O(1).
 RK4_DRIFT_TOL = 1e-6
 
+#: Steps whose RK4 transfer matrices are built and multiplied at once.  A
+#: power of two: every level of the pairwise product then pairs the same
+#: matrices as one pass over all steps would, so the result is bit-identical
+#: whatever the number of blocks.
+_RK4_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class PhaseBreakdown:
@@ -146,6 +152,15 @@ def propagator_exact(cfg: DriveConfig, t: float) -> np.ndarray:
     return CyclicSystem.of(cfg).propagator(t)
 
 
+def _ordered_product(m: np.ndarray) -> np.ndarray:
+    """m[-1] @ ... @ m[0] of a stack, multiplied pairwise in stack order."""
+    while m.shape[0] > 1:
+        half = m.shape[0] // 2
+        paired = np.matmul(m[1 : 2 * half : 2], m[0 : 2 * half : 2])
+        m = paired if m.shape[0] % 2 == 0 else np.concatenate([paired, m[-1:]])
+    return m[0]
+
+
 def propagator_rk4(
     cfg: DriveConfig, t: float, n_steps: int, return_drift: bool = False
 ):
@@ -178,27 +193,28 @@ def propagator_rk4(
     if n < 1000:
         raise ValueError(f"n_steps must be at least 1000, got {n}")
     dt = float(t) / n
-    # Hamiltonians at every half-step, built in one vectorized pass.
-    times = 0.5 * dt * np.arange(2 * n + 1)
-    hs = _lab_hamiltonian(
-        cfg.b, cfg.theta, cfg.phi_l, cfg.phi_r, cfg.t_lr, cfg.omega * times
-    )
-    h0, h1, h2 = hs[0:-1:2], hs[1::2], hs[2::2]
     # The equation is linear, so the classical RK4 update is a per-step
-    # transfer matrix M_k acting on U; all M_k are built batched and then
-    # multiplied in step order (pairwise, which preserves the ordering).
-    # Steps far too coarse for ||H|| t overflow; reported as NonConverged below.
+    # transfer matrix M_k acting on U.  The M_k of one block of steps are
+    # built batched from that block's half-step Hamiltonians, so memory does
+    # not grow with n.  Steps far too coarse for ||H|| t overflow; reported
+    # as NonConverged below.
+    eye = np.eye(4, dtype=complex)
+    block_products = []
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = -1j * h0
-        k2 = -1j * (h1 + 0.5 * dt * np.matmul(h1, k1))
-        k3 = -1j * (h1 + 0.5 * dt * np.matmul(h1, k2))
-        k4 = -1j * (h2 + dt * np.matmul(h2, k3))
-        m = np.eye(4, dtype=complex) + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        while m.shape[0] > 1:
-            half = m.shape[0] // 2
-            paired = np.matmul(m[1 : 2 * half : 2], m[0 : 2 * half : 2])
-            m = paired if m.shape[0] % 2 == 0 else np.concatenate([paired, m[-1:]])
-    u = m[0]
+        for start in range(0, n, _RK4_BLOCK):
+            stop = min(start + _RK4_BLOCK, n)
+            times = 0.5 * dt * np.arange(2 * start, 2 * stop + 1)
+            hs = _lab_hamiltonian(
+                cfg.b, cfg.theta, cfg.phi_l, cfg.phi_r, cfg.t_lr, cfg.omega * times
+            )
+            h0, h1, h2 = hs[0:-1:2], hs[1::2], hs[2::2]
+            k1 = -1j * h0
+            k2 = -1j * (h1 + 0.5 * dt * np.matmul(h1, k1))
+            k3 = -1j * (h1 + 0.5 * dt * np.matmul(h1, k2))
+            k4 = -1j * (h2 + dt * np.matmul(h2, k3))
+            m = eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            block_products.append(_ordered_product(m))
+        u = _ordered_product(np.stack(block_products))
     if not np.all(np.isfinite(u)):
         raise NonConverged(f"RK4 transfer product overflowed: {n} steps over t = {t:.3e}")
     # polar projection onto the closest unitary

@@ -122,11 +122,10 @@ class TestErrors:
             (["--b", "1e308", "--theta", "1", "--omega", "1", "--t-lr", "1e308"], {3}),
             # the unstable RK4 endpoint (~1e264) is finite, its drift norm is not
             (["--b", "1880", "--theta", "1", "--omega", "1", "--t-lr", "0.3"], {3}),
-            # 2000 RK4 steps are too coarse here too; how far the endpoint
-            # decays or grows depends on the BLAS, so either outcome is valid
+            # 2000 RK4 steps are too coarse here too
             (["--b", "7435.899713322316", "--theta", "2.0477539069550894",
               "--t-lr", "0.024547226558940705", "--phi", "pi",
-              "--omega", "7.628014810968127"], {0, 3}),
+              "--omega", "7.628014810968127"], {3}),
         ],
     )
     def test_evolve_overflow_named_without_warning(self, capsys, drive, codes):
@@ -245,11 +244,14 @@ class TestErrors:
         "argv,flag,at_cap",
         [
             ("spectrum --b 2 --theta-steps {}", "--theta-steps", (MAX_GRID_POINTS,)),
-            ("berry --b 2 --n-steps {}", "--n-steps", (MAX_GRID_POINTS // 2,)),
+            ("berry --b 2 --n-steps {} --theta-steps 1", "--theta-steps * 2 * --n-steps",
+             (MAX_GRID_POINTS // 2,)),
             ("chern --b 2 --n-theta {} --n-phi {}", "--n-theta * --n-phi", (1024, 1024)),
             ("evolve --b 2 --theta 1 --omega 1 --rk4-steps {}", "--rk4-steps",
              (MAX_GRID_POINTS,)),
             ("phase-diagram --n-b {} --n-omega {}", "--n-b * --n-omega", (1024, 1024)),
+            ("berry --b 2 --theta-steps {} --n-steps 512", "--theta-steps * 2 * --n-steps",
+             (MAX_GRID_POINTS // 1024,)),
         ],
     )
     def test_grid_above_cap_refused_before_any_handler(
@@ -273,6 +275,20 @@ class TestErrors:
         record = json.loads(err.splitlines()[-1])["error"]
         assert record["name"] == "ValidationError"
         assert f"argument {flag}:" in record["message"]
+
+    def test_berry_cap_counts_every_row(self, capsys, monkeypatch):
+        # each count is within the cap; their product is 2**19 times over it
+        def handler(args):
+            raise AssertionError("handler reached")
+
+        monkeypatch.setattr(cli, "cmd_berry", handler)
+        code, out, err = run_cli(
+            capsys, "berry", "--b", "2", "--theta-steps", "1048576", "--n-steps", "262144"
+        )
+        assert code == 2 and out == ""
+        record = json.loads(err.splitlines()[-1])["error"]
+        assert record["name"] == "ValidationError"
+        assert "argument --theta-steps * 2 * --n-steps:" in record["message"]
 
     @pytest.mark.parametrize("target", ["no-such-dir/out.json", "a-directory"])
     def test_unwritable_out_is_validation_error(self, capsys, tmp_path, target):

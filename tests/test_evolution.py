@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from drivenspin import (
 )
 from drivenspin import spectra
 from drivenspin.cli import main
-from drivenspin.evolution import PhaseBreakdown
-from drivenspin.qmodel import spin_site_operators
+from drivenspin.evolution import _RK4_BLOCK, PhaseBreakdown
+from drivenspin.qmodel import _lab_hamiltonian, spin_site_operators
 
 
 def random_driven_config(rng):
@@ -104,6 +105,59 @@ class TestPropagatorRK4:
         cfg = DriveConfig(b=2.0, theta=1.0, omega=1.5)
         with pytest.raises(ValueError):
             propagator_rk4(cfg, 1.0, 100)
+
+
+def single_pass_rk4(cfg, t, n):
+    """propagator_rk4 with every half-step Hamiltonian and transfer matrix at once."""
+    dt = float(t) / n
+    times = 0.5 * dt * np.arange(2 * n + 1)
+    hs = _lab_hamiltonian(
+        cfg.b, cfg.theta, cfg.phi_l, cfg.phi_r, cfg.t_lr, cfg.omega * times
+    )
+    h0, h1, h2 = hs[0:-1:2], hs[1::2], hs[2::2]
+    k1 = -1j * h0
+    k2 = -1j * (h1 + 0.5 * dt * np.matmul(h1, k1))
+    k3 = -1j * (h1 + 0.5 * dt * np.matmul(h1, k2))
+    k4 = -1j * (h2 + dt * np.matmul(h2, k3))
+    m = np.eye(4, dtype=complex) + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    while m.shape[0] > 1:
+        half = m.shape[0] // 2
+        paired = np.matmul(m[1 : 2 * half : 2], m[0 : 2 * half : 2])
+        m = paired if m.shape[0] % 2 == 0 else np.concatenate([paired, m[-1:]])
+    u = m[0]
+    w, _, vh = np.linalg.svd(u)
+    unitary = w @ vh
+    return unitary, float(np.linalg.norm(unitary - u))
+
+
+class TestPropagatorRK4Blocks:
+    @pytest.mark.parametrize("phi_r", [0.0, -math.pi])
+    @pytest.mark.parametrize(
+        "n_steps",
+        [1000, _RK4_BLOCK - 1, _RK4_BLOCK, _RK4_BLOCK + 1, 3 * _RK4_BLOCK + 17, 100_000],
+    )
+    def test_bit_identical_to_single_pass(self, phi_r, n_steps):
+        cfg = DriveConfig(b=2.3, theta=1.1, phi_r=phi_r, omega=1.7, t_lr=0.6)
+        period = 2 * math.pi / cfg.omega
+        unitary, drift = propagator_rk4(cfg, period, n_steps, return_drift=True)
+        ref_unitary, ref_drift = single_pass_rk4(cfg, period, n_steps)
+        assert np.array_equal(unitary, ref_unitary)
+        assert drift == ref_drift
+
+    def test_memory_does_not_grow_with_steps(self):
+        cfg = DriveConfig(b=2.0, theta=1.0, omega=1.5, t_lr=0.6)
+        period = 2 * math.pi / cfg.omega
+        peaks = {}
+        for n_steps in (20_000, 100_000):
+            tracemalloc.start()
+            try:
+                propagator_rk4(cfg, period, n_steps)
+                peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a single pass over all 100k steps would peak near 200 MiB
+        assert peaks[100_000] < 32 * 2**20
+        assert abs(peaks[100_000] / peaks[20_000] - 1.0) < 0.1
 
 
 class TestExtractPhases:
