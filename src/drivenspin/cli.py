@@ -39,19 +39,28 @@ from .spectra import _closed_energy_table, band_order, eigh_stack
 SCHEMA_VERSION = 1
 
 #: Largest grid one command may request: theta rows, Wilson-loop points
-#: summed over the rows, lattice sites, RK4 steps or diagram cells.  Larger
-#: grids exhaust memory or run for hours, so they are refused before any
-#: computation.
+#: summed over the rows, lattice sites, RK4 steps, closed diagram cells or
+#: the lattice sites of all lattice diagram cells.  Larger grids exhaust
+#: memory or run for hours, so they are refused before any computation.
 MAX_GRID_POINTS = 2**20
 
-#: (flags, their attributes, points per unit) of each grid a command can request
+#: (flags, their attributes, points per unit, --method) of each grid a
+#: command can request.  An entry applies when the command has all its
+#: attributes and, where the entry names a method, that --method.
 _GRIDS = (
-    ("--theta-steps", ("theta_steps",), 1),
+    ("--theta-steps", ("theta_steps",), 1, None),
     # berry: one Wilson loop per theta row, each up to 2 * --n-steps points
-    ("--theta-steps * 2 * --n-steps", ("theta_steps", "n_steps"), 2),
-    ("--n-theta * --n-phi", ("n_theta", "n_phi"), 1),
-    ("--rk4-steps", ("rk4_steps",), 1),
-    ("--n-b * --n-omega", ("n_b", "n_omega"), 1),
+    ("--theta-steps * 2 * --n-steps", ("theta_steps", "n_steps"), 2, None),
+    ("--n-theta * --n-phi", ("n_theta", "n_phi"), 1, None),
+    ("--rk4-steps", ("rk4_steps",), 1, None),
+    ("--n-b * --n-omega", ("n_b", "n_omega"), 1, "closed"),
+    # a lattice diagram computes one Chern grid per cell
+    (
+        f"--n-b * --n-omega * {phasescan.DEFAULT_LATTICE_RESOLUTION}**2",
+        ("n_b", "n_omega"),
+        phasescan.DEFAULT_LATTICE_RESOLUTION**2,
+        "lattice",
+    ),
 )
 
 _ANGLE_RE = re.compile(
@@ -431,8 +440,9 @@ def main(argv=None) -> int:
             parser.error(
                 f"argument --theta-steps: must be at least 1, got {args.theta_steps}"
             )
-        for flags, keys, unit in _GRIDS:
-            if all(hasattr(args, k) for k in keys):
+        for flags, keys, unit, method in _GRIDS:
+            applies = all(hasattr(args, k) for k in keys)
+            if applies and method in (None, getattr(args, "method", None)):
                 points = unit * math.prod(getattr(args, k) for k in keys)
                 if points > MAX_GRID_POINTS:
                     parser.error(

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateGap, NonConverged, OnTransition
+from .errors import AmbiguousMatch, DegenerateGap, NonConverged, OnTransition
 from .qmodel import (
     LABELS,
     SZ_TOTAL_DIAG,
@@ -413,6 +413,26 @@ def curvature_numeric(
 # ---------------------------------------------------------------------------
 
 
+#: Theta rows of one block of the Chern grid.  Blocks share their last row
+#: with the next block, so each plaquette is summed once, and at most
+#: _CHERN_BLOCK + 1 rows of states are held at a time.
+_CHERN_BLOCK = 64
+
+
+def _failure_rank(exc) -> tuple:
+    """Sort key of a block's failure: the least is what one whole-grid pass raises.
+
+    A pass labels the whole grid before it sums any flux, and it names the
+    smallest gap before the largest closed-form deviation.  Ties keep the
+    earlier block, which holds the whole grid's first worst point.
+    """
+    if isinstance(exc, DegenerateGap):
+        return (0, exc.gap)
+    if isinstance(exc, AmbiguousMatch):
+        return (1, -exc.residual)
+    return (2, 0.0)
+
+
 @dataclass(frozen=True)
 class ChernReport:
     """Lattice Chern numbers of all four bands and the smallest band gap on the grid."""
@@ -437,6 +457,12 @@ def chern_lattice(
     link variables then cancel pairwise and the total plaquette flux is an
     exact multiple of 2 pi.  One diagonalization pass serves all four
     bands, so they are always computed together.
+
+    The grid is built, labelled and summed in blocks of _CHERN_BLOCK theta
+    rows that share their boundary rows, so memory does not grow with
+    n_theta.  ``c1``, ``min_gap`` and the error raised, message included,
+    are those of one pass over the whole grid; the flux differs from that
+    pass only in its last bits.
 
     Parameters
     ----------
@@ -463,8 +489,21 @@ def chern_lattice(
     thetas = np.linspace(0.0, math.pi, int(n_theta))
     phis = 2.0 * math.pi * np.arange(int(n_phi)) / int(n_phi)
     builder = _adiabatic_band_states if regime == "adiabatic" else _rotating_band_states
-    states, min_gap = builder(cfg, thetas, phis)
-    flux = lattice_flux(states)
+    flux, min_gap, failures = 0.0, math.inf, []
+    for start in range(0, len(thetas) - 1, _CHERN_BLOCK):
+        try:
+            states, gap = builder(cfg, thetas[start : start + _CHERN_BLOCK + 1], phis)
+        except (DegenerateGap, AmbiguousMatch) as exc:
+            failures.append(exc)
+            continue
+        min_gap = min(min_gap, gap)
+        if not failures:
+            try:
+                flux = flux + lattice_flux(states)
+            except NonConverged as exc:
+                failures.append(exc)
+    if failures:
+        raise min(failures, key=_failure_rank)
     c1 = {}
     for k, lab in enumerate(LABELS):
         rounded = round(float(flux[k]))

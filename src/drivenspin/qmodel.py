@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import UnsupportedPhase
 
-BASIS = ("L_up", "L_dn", "R_up", "R_dn")
-
 # Tolerance for recognizing phi_l - phi_r as one of the closed-form branches.
 PHASE_BRANCH_TOL = 1e-9
 

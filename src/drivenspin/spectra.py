@@ -92,11 +92,6 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def gap_min(self) -> float:
-        """Smallest separation between adjacent (sorted) eigenvalues."""
-        return float(np.min(np.diff(self.values)))
-
 
 def eigensystem(h: np.ndarray) -> EigenSystem:
     """Diagonalize one Hermitian 4x4 matrix.
@@ -189,7 +184,6 @@ class LabeledSpectrum:
     """Numerical eigenpairs bound to their (m1, m2) labels."""
 
     states: dict[StateLabel, tuple[float, np.ndarray]]
-    gap_min: float
 
     def energy(self, label: StateLabel) -> float:
         return self.states[StateLabel(*label)][0]
@@ -224,12 +218,12 @@ def label_eigenstates(
     UnsupportedPhase
         Away from the phi in {0, pi} branches.
     """
-    order, gap_min = _label_bands(cfg, regime, es.values)
+    order, _ = _label_bands(cfg, regime, es.values)
     states = {
         lab: (float(es.values[order[k]]), es.vectors[:, order[k]].copy())
         for k, lab in enumerate(LABELS)
     }
-    return LabeledSpectrum(states=states, gap_min=gap_min)
+    return LabeledSpectrum(states=states)
 
 
 def _label_bands(cfg, regime, values, theta=None, where=None):
@@ -241,7 +235,10 @@ def _label_bands(cfg, regime, values, theta=None, where=None):
     DEGENERACY_FACTOR * b) and the closed forms finite and within 1e-8 * b
     of the sorted values; any other bijection then misplaces some label by
     more than the gap allows, so the sort-order match is the only one.
-    ``where`` names a stack index in messages.
+    ``where`` names a stack index in messages.  The raised DegenerateGap
+    carries the smallest gap as ``gap``, and AmbiguousMatch the largest
+    deviation as ``residual``, so that a caller labelling a grid in blocks
+    can raise what one pass over the whole grid would.
 
     Returns (order, min_gap); order[..., k] is the column of label k.
     """
@@ -252,14 +249,18 @@ def _label_bands(cfg, regime, values, theta=None, where=None):
         if where is not None:
             ix = np.unravel_index(int(np.argmin(np.min(gaps, axis=-1))), gaps.shape[:-1])
             message += f" at grid point {where(ix)}"
-        raise DegenerateGap(message)
+        error = DegenerateGap(message)
+        error.gap = min_gap
+        raise error
     closed = _closed_energy_table(cfg, regime, theta)
     residual = float(np.max(np.abs(values - np.sort(closed, axis=-1))))
     if residual > 1e-8 * cfg.b:
-        raise AmbiguousMatch(
+        error = AmbiguousMatch(
             f"numerical spectrum deviates from closed form by {residual:.3e}, "
             "above 1e-8 * b"
         )
+        error.residual = residual
+        raise error
     return band_order(closed), min_gap
 
 

@@ -252,6 +252,11 @@ class TestErrors:
             ("phase-diagram --n-b {} --n-omega {}", "--n-b * --n-omega", (1024, 1024)),
             ("berry --b 2 --theta-steps {} --n-steps 512", "--theta-steps * 2 * --n-steps",
              (MAX_GRID_POINTS // 1024,)),
+            # 104 cells of 100x100 lattice sites are 1,040,000 points
+            ("phase-diagram --method lattice --n-b {} --n-omega 1",
+             "--n-b * --n-omega * 100**2", (104,)),
+            ("phase-diagram --method lattice --n-b 1 --n-omega {}",
+             "--n-b * --n-omega * 100**2", (104,)),
         ],
     )
     def test_grid_above_cap_refused_before_any_handler(

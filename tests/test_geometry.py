@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivenspin import (
+    AmbiguousMatch,
     DegenerateGap,
     DriveConfig,
     LABELS,
@@ -29,7 +31,8 @@ from drivenspin import (
     wilson_loop_phase,
 )
 from drivenspin import geometry
-from drivenspin.geometry import _adiabatic_band_states, _rotating_band_states
+from drivenspin.geometry import _CHERN_BLOCK, _adiabatic_band_states, _rotating_band_states
+from drivenspin.qmodel import SZ_TOTAL_DIAG
 
 
 def anti_phase(b=2.0, theta=0.0, omega=0.0, t_lr=0.0):
@@ -345,6 +348,88 @@ class TestChernLattice:
             chern_lattice(anti_phase(t_lr=0.5), 10, 40, "adiabatic")
 
 
+def _single_pass_chern(cfg, n_theta, n_phi, regime):
+    """(flux, min_gap) of one pass over the whole grid: one build, one flux sum."""
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    builder = _adiabatic_band_states if regime == "adiabatic" else _rotating_band_states
+    states, min_gap = builder(cfg, thetas, phis)
+    return lattice_flux(states), min_gap
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (DegenerateGap, AmbiguousMatch, NonConverged) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestChernBlocks:
+    @pytest.mark.parametrize("phi_r", [0.0, -math.pi], ids=["phi0", "phipi"])
+    @pytest.mark.parametrize("regime", ["adiabatic", "nonadiabatic"])
+    @pytest.mark.parametrize("n_theta", [20, 64, 65, 66, 129, 200])
+    def test_matches_single_pass(self, monkeypatch, n_theta, regime, phi_r):
+        assert _CHERN_BLOCK == 64  # the n_theta cases straddle one and two blocks
+        cfg = DriveConfig(b=2.0, theta=0.0, phi_r=phi_r, omega=1.5, t_lr=0.45)
+        single = _outcome(lambda: _single_pass_chern(cfg, n_theta, 40, regime))
+        if isinstance(single[0], str):
+            # odd anti-phase adiabatic grids hold the equator crossing; at 129
+            # rows it is the row the two blocks share
+            assert _outcome(lambda: chern_lattice(cfg, n_theta, 40, regime)) == single
+            return
+        flux, min_gap = single
+        fluxes = []
+
+        def recording_flux(states):
+            fluxes.append(lattice_flux(states))
+            return fluxes[-1]
+
+        monkeypatch.setattr(geometry, "lattice_flux", recording_flux)
+        report = chern_lattice(cfg, n_theta, 40, regime)
+        assert len(fluxes) == -(-(n_theta - 1) // _CHERN_BLOCK)
+        assert np.max(np.abs(sum(fluxes) - flux)) < 1e-12
+        assert report.c1 == {lab: round(float(flux[k])) for k, lab in enumerate(LABELS)}
+        assert report.min_gap == min_gap
+
+    @pytest.mark.parametrize(
+        "b,t_lr,phi_r,n_theta,regime",
+        [
+            # lam = 1 - 1e-12: the smallest gap is in the last block, not the first
+            (2.0, 1.0 - 1e-12, -math.pi, 130, "adiabatic"),
+            (2.0, 1.0 - 1e-12, 0.0, 200, "adiabatic"),
+            (2.0, 1.0 + 1e-12, -math.pi, 200, "adiabatic"),
+            # t_lr = 0: the gap is 0 in every block; the first names the first point
+            (2.0, 0.0, 0.0, 200, "adiabatic"),
+            (2.0, 0.0, -math.pi, 200, "nonadiabatic"),
+            # t_lr / b ~ 1e8: eigh misses the closed form by more than 1e-8 b
+            (1.0, 3e8, -math.pi, 200, "adiabatic"),
+            (2.0, 1e9, 0.0, 200, "adiabatic"),
+            (0.5, 5e8, 0.0, 200, "nonadiabatic"),
+        ],
+    )
+    def test_failure_is_the_whole_grids(self, b, t_lr, phi_r, n_theta, regime):
+        omega = 1.0 if regime == "nonadiabatic" else 0.0
+        cfg = DriveConfig(b=b, theta=0.0, phi_r=phi_r, omega=omega, t_lr=t_lr)
+        blocked = _outcome(lambda: chern_lattice(cfg, n_theta, 40, regime))
+        single = _outcome(lambda: _single_pass_chern(cfg, n_theta, 40, regime))
+        assert isinstance(blocked, tuple) and blocked == single
+
+    def test_memory_does_not_grow_with_rows(self):
+        def traced_peak(cfg, n_theta, regime):
+            tracemalloc.start()
+            try:
+                chern_lattice(cfg, n_theta, 400, regime)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one pass over a 400x400 adiabatic grid peaks near 150 MiB
+        assert traced_peak(anti_phase(t_lr=0.45), 400, "adiabatic") < 40 * 2**20
+        driven = anti_phase(omega=1.5, t_lr=0.45)
+        peaks = [traced_peak(driven, n, "nonadiabatic") for n in (200, 800)]
+        assert abs(peaks[1] / peaks[0] - 1.0) < 0.1
+
+
 class TestChernClosed:
     def test_anti_phase_below(self):
         cfg = anti_phase(t_lr=0.6)
@@ -467,6 +552,33 @@ def test_chern_numbers_sum_to_zero(cfg, regime):
     except DegenerateGap:
         return
     assert report.band_sum() == 0
+
+
+def test_chern_is_the_pole_sz_difference():
+    # Rotation covariance makes every plaquette the same along varphi, so the
+    # flux telescopes to the pole rows: c1 = <Sz_total>(south) - <Sz_total>(north).
+    checked, degenerate = [], []
+
+    @_PROPERTY
+    @given(_DRIVE_POINTS, _REGIMES)
+    def check(cfg, regime):
+        try:
+            report = chern_lattice(cfg, 20, 20, regime)
+        except DegenerateGap:
+            degenerate.append(cfg)
+            return
+        builder = _adiabatic_band_states if regime == "adiabatic" else _rotating_band_states
+        poles, _ = builder(cfg, np.array([0.0, math.pi]), np.array([0.0]))
+        sz = np.einsum("pci,c->pi", np.abs(poles[:, 0]) ** 2, SZ_TOTAL_DIAG)
+        for k, lab in enumerate(LABELS):
+            assert abs(report.c1[lab] - (sz[1, k] - sz[0, k])) < 1e-9
+        checked.append((regime, cfg.phase_branch()))
+
+    check()
+    # t_lr = 0 and other band touchings make many draws degenerate; both
+    # regimes and both branches must still be checked many times
+    assert len(checked) >= 50, f"{len(checked)} checked, {len(degenerate)} degenerate"
+    assert len(set(checked)) == 4
 
 
 @pytest.mark.parametrize(
