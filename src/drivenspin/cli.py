@@ -20,6 +20,7 @@ import math
 import re
 import sys
 from collections import Counter
+from contextlib import suppress
 from dataclasses import replace
 
 import numpy as np
@@ -210,13 +211,20 @@ def cmd_berry(args) -> tuple[tuple, dict]:
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
     cfg0 = _config_from(args)
     cfg0.phase_branch()  # a bad branch fails the command; row errors are recorded
+    sweep = None
+    if args.regime == "nonadiabatic":
+        # one labelled pass serves all rows; if a row fails, per-band calls name it
+        with suppress(DrivenSpinError):
+            sweep, _ = geometry._rotating_band_vectors(cfg0, thetas)
     rows = []
     worst = 0.0
     failed = 0
-    for th in thetas:
+    for i, th in enumerate(thetas):
         row = [float(th)]
         err = None
-        for lab in LABELS:
+        if args.regime == "nonadiabatic":
+            cfg = replace(cfg0, theta=float(th))
+        for k, lab in enumerate(LABELS):
             try:
                 if args.regime == "adiabatic":
                     numeric = geometry.berry_phase_wilson(
@@ -224,10 +232,9 @@ def cmd_berry(args) -> tuple[tuple, dict]:
                     )
                     closed = geometry.berry_phase_closed(cfg0, float(th), lab)
                 else:
-                    cfg = replace(cfg0, theta=float(th))
-                    numeric = geometry.fold_phase(
-                        2.0 * math.pi * geometry.rotating_sz_expectation(cfg, lab)
-                    )
+                    sz = (geometry._sz_total(sweep[i, :, k]) if sweep is not None
+                          else geometry.rotating_sz_expectation(cfg, lab))
+                    numeric = geometry.fold_phase(2.0 * math.pi * sz)
                     closed = geometry.aa_phase_closed(cfg, lab)
                 diff = geometry.circular_distance(numeric, closed)
                 worst = max(worst, diff)

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonConverged, ZeroFrequency
-from .geometry import fold_phase
+from .geometry import _sz_total, fold_phase
 from .qmodel import (
     SZ_TOTAL_DIAG,
     DriveConfig,
@@ -99,7 +99,7 @@ class CyclicSystem:
         vec = self.labeled.vector(label)
         psi_t = self.propagator(self.period) @ vec
         total = float(np.angle(np.vdot(vec, psi_t)))
-        sz = float(np.real(np.vdot(vec, SZ_TOTAL_DIAG * vec)))
+        sz = _sz_total(vec)
         energy = self.labeled.energy(label)
         dynamical = fold_phase(-self.period * (energy + self.cfg.omega * sz))
         geometric = fold_phase(total - dynamical)

@@ -21,6 +21,13 @@ closed-form energies.  A sector is topological iff |x| < 1.
 Closed forms and lattice numerics are deliberately independent code paths:
 the lattice routines never evaluate a closed-form curvature or phase, only
 closed-form *energies* for band labeling.
+
+The family is covariant under exp(-i varphi Sz_total), so the lattice flux
+telescopes to the pole rows: ``chern_lattice``'s c1 of a band equals
+<Sz_total> of its labelled south-pole (theta = pi) state minus that of its
+north-pole state.  The labels come from the closed-form energies, so the
+lattice route reads the closed-form energy order at the poles;
+``test_chern_is_the_pole_sz_difference`` pins the identity.
 """
 
 from __future__ import annotations
@@ -340,7 +347,11 @@ def rotating_sz_expectation(cfg: DriveConfig, label: StateLabel) -> float:
     is the numerical route to ``aa_phase_closed``.
     """
     vectors, _ = _rotating_band_vectors(cfg, np.array([cfg.theta]))
-    vec = vectors[0, :, LABELS.index(StateLabel(*label))]
+    return _sz_total(vectors[0, :, LABELS.index(StateLabel(*label))])
+
+
+def _sz_total(vec: np.ndarray) -> float:
+    """<Sz_total> of one state vector."""
     return float(np.real(np.vdot(vec, SZ_TOTAL_DIAG * vec)))
 
 

@@ -33,14 +33,14 @@ def _require_finite(h: np.ndarray) -> None:
         raise NonConverged("matrix has non-finite entries; nothing to diagonalize")
 
 
-def require_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    """Raise NotHermitian unless max|H - H^dag| <= tol * max|H|."""
+def require_hermitian(h: np.ndarray) -> None:
+    """Raise NotHermitian unless max|H - H^dag| <= HERMITICITY_TOL * max|H|."""
     h = np.asarray(h)
     defect = np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2))))
-    scale = max(np.max(np.abs(h)), 1e-300)
-    if defect > tol * scale:
+    bound = HERMITICITY_TOL * max(np.max(np.abs(h)), 1e-300)
+    if defect > bound:
         raise NotHermitian(
-            f"hermiticity defect {defect:.3e} exceeds {tol:.1e} * max|H| = {tol * scale:.3e}"
+            f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e} * max|H| = {bound:.3e}"
         )
 
 

@@ -3,13 +3,24 @@ import json
 import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivenspin import cli
+from drivenspin import (
+    LABELS,
+    DriveConfig,
+    DrivenSpinError,
+    aa_phase_closed,
+    circular_distance,
+    cli,
+    fold_phase,
+    geometry,
+    rotating_sz_expectation,
+)
 from drivenspin.cli import MAX_GRID_POINTS, main, parse_angle
 from drivenspin.evolution import RK4_DRIFT_TOL
 
@@ -401,6 +412,84 @@ class TestBerry:
         assert code == 0
         doc = json.loads(out)
         assert doc["diagnostics"]["max_circular_difference"] < 1e-8
+
+    def test_nonadiabatic_degenerate_row_captured(self, capsys):
+        # sqrt(1 + mu^2) = lam: two in-phase rotating levels cross at theta = pi/2
+        code, out, _ = run_cli(
+            capsys, "berry", "--b", "2", "--omega", "1.5", "--t-lr", "1.25",
+            "--regime", "nonadiabatic", "--theta-min", "0", "--theta-max", "pi",
+            "--theta-steps", "5",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["diagnostics"]["failed_rows"] == 1
+        rows = doc["results"]["rows"]
+        assert [row[-1] for row in rows] == [None, None, "DegenerateGap", None, None]
+        assert rows[2][1:-1] == [None] * 12
+        assert all(None not in row[1:-1] for row in rows[:2] + rows[3:])
+
+
+def test_berry_nonadiabatic_diagonalizes_once(monkeypatch, capsys):
+    calls = []
+    eigh_stack = geometry.eigh_stack
+
+    def counting_eigh_stack(h):
+        calls.append(np.shape(h))
+        return eigh_stack(h)
+
+    monkeypatch.setattr(geometry, "eigh_stack", counting_eigh_stack)
+    argv = "berry --b 2 --t-lr 1 --phi pi --omega 1.5 --regime nonadiabatic"
+    assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert calls == [(50, 4, 4)]
+
+
+def _per_band_berry_row(cfg0, theta):
+    """A nonadiabatic berry row from one labelled eigensolve per band."""
+    cfg = replace(cfg0, theta=theta)
+    row, err = [theta], None
+    for lab in LABELS:
+        try:
+            numeric = fold_phase(2.0 * math.pi * rotating_sz_expectation(cfg, lab))
+            closed = aa_phase_closed(cfg, lab)
+            row += [numeric, closed, circular_distance(numeric, closed)]
+        except DrivenSpinError as exc:
+            err = type(exc).__name__
+            row += [None, None, None]
+    return row + [err]
+
+
+@st.composite
+def nonadiabatic_sweeps(draw):
+    """(argv, drive, thetas) of a nonadiabatic berry sweep; some in-phase
+    draws put a level crossing on the theta = pi/2 row."""
+    b, omega = draw(st.floats(0.3, 5.0)), draw(st.floats(0.0, 4.0))
+    crossing = 0.5 * math.hypot(b, omega)  # sqrt(1 + mu^2) = lam
+    t_lr = draw(st.one_of(st.floats(0.0, 3.0), st.just(crossing)))
+    phi = draw(st.sampled_from([0.0, math.pi]))
+    lo = draw(st.sampled_from([0.0, 0.02]))
+    hi = draw(st.sampled_from([math.pi, 3.1]))
+    n = draw(st.sampled_from([1, 2, 3, 5, 7]))
+    argv = [
+        "berry", "--b", repr(b), "--omega", repr(omega), "--t-lr", repr(t_lr),
+        "--phi", repr(phi), "--regime", "nonadiabatic", "--theta-steps", str(n),
+        "--theta-min", repr(lo), "--theta-max", repr(hi),
+    ]
+    drive = DriveConfig(b=b, theta=0.0, phi_r=-phi, omega=omega, t_lr=t_lr)
+    return argv, drive, np.linspace(lo, hi, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(nonadiabatic_sweeps())
+def test_berry_nonadiabatic_matches_per_band_route(sweep):
+    """The one-sweep table equals a per-band eigensolve, number for number,
+    with the same error name in each failing row."""
+    argv, drive, thetas = sweep
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    rows = json.loads(out.getvalue())["results"]["rows"]
+    assert rows == [_per_band_berry_row(drive, float(th)) for th in thetas]
 
 
 class TestChern:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drivenspin import (
     DriveConfig,
@@ -229,6 +231,24 @@ class TestExtractPhases:
     def test_zero_frequency_rejected(self):
         with pytest.raises(ZeroFrequency):
             extract_phases(DriveConfig(b=2.0, theta=1.0), StateLabel(1, 1))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(0.1, 10.0),
+        st.floats(0.0, math.pi),
+        st.floats(0.05, 3.0),
+        st.floats(0.05, 4.0),
+        st.sampled_from([0.0, math.pi]),
+        st.sampled_from(LABELS),
+    )
+    def test_geometric_is_cyclic_closed_form_plus_pi(self, b, theta, t_lr, omega, phi, lab):
+        """The PhaseBreakdown identity: total - dynamical exceeds
+        aa_phase_closed by pi.  t_lr and omega are drawn in units of b, and
+        above zero: decoupled sites have degenerate bands, and omega = 0 has
+        no period."""
+        cfg = DriveConfig(b=b, theta=theta, phi_r=-phi, omega=omega * b, t_lr=t_lr * b)
+        geometric = extract_phases(cfg, lab).geometric
+        assert circular_distance(geometric - aa_phase_closed(cfg, lab), math.pi) <= 1e-9
 
     def test_breakdown_identity_enforced(self):
         with pytest.raises(ValueError):

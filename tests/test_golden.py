@@ -3,8 +3,9 @@
 Each README command is rerun and its JSON document compared with the copy
 under ``tests/golden/``: integers, strings, booleans, nulls, error names
 and document structure must match exactly, floats within GOLDEN_ATOL.
-The phase diagram, in the README's CSV ``--out`` form, and ``evolve``, as
-a ``key,value`` record, are compared as CSV too, cell by cell.
+The nonadiabatic ``berry`` table, the phase diagram (the README's CSV
+``--out`` form) and ``evolve`` (a ``key,value`` record) are also written
+as CSV through ``--out`` and compared cell by cell.
 Numbers are compared, not bytes, because last-bit float differences
 (BLAS threading, eigensolver rounding) are expected and harmless.
 
@@ -46,7 +47,7 @@ README_COMMANDS = {
     ],
     "phase_diagram": ["phase-diagram", "--t-lr", "1", "--phi", "pi"],
 }
-CSV_GOLDENS = ("evolve", "phase_diagram")
+CSV_GOLDENS = ("berry_nonadiabatic", "evolve", "phase_diagram")
 
 
 def run_json(argv) -> dict:

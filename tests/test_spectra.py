@@ -23,7 +23,8 @@ from drivenspin import (
     eigh_stack,
     label_eigenstates,
 )
-from drivenspin.spectra import DEGENERACY_FACTOR
+from drivenspin.qmodel import _lab_hamiltonian, _rotating_hamiltonian
+from drivenspin.spectra import DEGENERACY_FACTOR, _closed_energy_table
 
 
 def random_hermitian(rng, n):
@@ -313,3 +314,26 @@ def test_labeling_matches_brute_force(case):
     assert columns == expected
     for lab, col in zip(LABELS, columns):
         assert np.array_equal(labeled.vector(lab), es.vectors[:, col])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.1, 10.0),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 4.0),
+    st.sampled_from([0.0, math.pi]),
+    st.floats(0.0, 2 * math.pi),
+)
+def test_closed_spectra_match_numeric(b, theta, t_lr, omega, phi, varphi):
+    """Both Hamiltonians' eigenvalues are their closed forms to 1e-10 b, the
+    lab frame at any drive phase; t_lr and omega are drawn in units of b."""
+    cfg = DriveConfig(b=b, theta=theta, phi_r=-phi, omega=omega * b, t_lr=t_lr * b)
+    args = (cfg.b, cfg.theta, cfg.phi_l, cfg.phi_r, cfg.t_lr)
+    for h, regime in (
+        (_lab_hamiltonian(*args, varphi), "adiabatic"),
+        (_rotating_hamiltonian(*args, cfg.omega), "rotating"),
+    ):
+        values, _ = eigh_stack(h)
+        closed = np.sort(_closed_energy_table(cfg, regime))
+        assert np.max(np.abs(values - closed)) <= 1e-10 * b
