@@ -99,7 +99,8 @@ def _fmt(value) -> str:
 
 def _json_dumps(obj) -> str:
     """Deterministic JSON with .17g float rendering (insertion-ordered keys)."""
-    if isinstance(obj, (float, np.floating)):  # first: the most frequent type
+    # first: the most frequent type, by its exact type before the isinstance test
+    if type(obj) is float or isinstance(obj, (float, np.floating)):
         value = float(obj)
         if not math.isfinite(value):
             raise NonConverged(f"the result holds the non-finite value {value}")
@@ -116,7 +117,7 @@ def _json_dumps(obj) -> str:
         items = (f"{_json_dumps(str(k))}: {_json_dumps(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_dumps(v) for v in obj) + "]"
+        return "[" + ", ".join(map(_json_dumps, obj)) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -213,7 +214,7 @@ def cmd_berry(args) -> tuple[tuple, dict]:
     cfg0.phase_branch()  # a bad branch fails the command; row errors are recorded
     sweep = None
     if args.regime == "nonadiabatic":
-        # one labelled pass serves all rows; if a row fails, per-band calls name it
+        # one labelled pass serves all rows; if a row fails, each row is solved alone
         with suppress(DrivenSpinError):
             sweep, _ = geometry._rotating_band_vectors(cfg0, thetas)
     rows = []
@@ -224,6 +225,13 @@ def cmd_berry(args) -> tuple[tuple, dict]:
         err = None
         if args.regime == "nonadiabatic":
             cfg = replace(cfg0, theta=float(th))
+            try:  # the sweep's row, or one labelled solve of this row for all four bands
+                vectors = (sweep[i] if sweep is not None else
+                           geometry._rotating_band_vectors(cfg, np.array([cfg.theta]))[0][0])
+            except DrivenSpinError as exc:
+                rows.append(row + [None] * 3 * len(LABELS) + [type(exc).__name__])
+                failed += 1
+                continue
         for k, lab in enumerate(LABELS):
             try:
                 if args.regime == "adiabatic":
@@ -232,8 +240,7 @@ def cmd_berry(args) -> tuple[tuple, dict]:
                     )
                     closed = geometry.berry_phase_closed(cfg0, float(th), lab)
                 else:
-                    sz = (geometry._sz_total(sweep[i, :, k]) if sweep is not None
-                          else geometry.rotating_sz_expectation(cfg, lab))
+                    sz = geometry._sz_total(vectors[:, k])
                     numeric = geometry.fold_phase(2.0 * math.pi * sz)
                     closed = geometry.aa_phase_closed(cfg, lab)
                 diff = geometry.circular_distance(numeric, closed)

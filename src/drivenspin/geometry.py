@@ -74,9 +74,18 @@ def circular_distance(a: float, b: float) -> float:
     return abs(fold_phase(a - b))
 
 
-def _transition_distance(x: float) -> float:
-    """Distance of a sector parameter from the transition |x| = 1."""
+def _transition_distance(x):
+    """Distance of a sector parameter (float or array) from the transition |x| = 1."""
     return abs(abs(x) - 1.0)
+
+
+def _sector_masks(x):
+    """(on_transition, topological) of a sector parameter, a float or an array.
+
+    A sector is on its transition within TRANSITION_TOL of |x| = 1, where
+    the invariant is undefined, and topological where |x| < 1.
+    """
+    return _transition_distance(x) <= TRANSITION_TOL, abs(x) < 1.0
 
 
 def _is_topological(x: float) -> bool:
@@ -85,9 +94,10 @@ def _is_topological(x: float) -> bool:
     Raises OnTransition within TRANSITION_TOL of |x| = 1, where the
     invariant is undefined.
     """
-    if _transition_distance(x) <= TRANSITION_TOL:
+    on_transition, topological = _sector_masks(x)
+    if on_transition:
         raise OnTransition(f"|x| = {abs(x)} is on the transition line |x| = 1")
-    return abs(x) < 1.0
+    return topological
 
 
 def _sector_root(cfg: DriveConfig, regime: str, theta: float, label: StateLabel):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DrivenSpinError
-from .geometry import _is_topological, _transition_distance, chern_lattice
-from .qmodel import DriveConfig, StateLabel
+from .geometry import _is_topological, _sector_masks, _transition_distance, chern_lattice
+from .qmodel import DriveConfig, StateLabel, _sector_ratios
 from .spectra import _sector_parameters
 
 DEFAULT_LATTICE_RESOLUTION = 100
@@ -53,10 +53,13 @@ class PhaseDiagramCell:
     error: str | None = None
 
 
-def _boundary_distance(cfg: DriveConfig) -> float:
-    """Distance to the nearest transition line of the active branch."""
-    x_plus, x_minus = _sector_parameters(cfg, "nonadiabatic")
-    return min(_transition_distance(x_plus), _transition_distance(x_minus))
+#: The four classes, indexed by 2 c_plus + c_minus.
+_PHASES = tuple(PhaseClass(c_plus, c_minus) for c_plus in (0, 1) for c_minus in (0, 1))
+
+
+def _boundary_distance(x_plus, x_minus):
+    """Distance of sector parameters (floats or arrays) to the nearest transition line."""
+    return np.minimum(_transition_distance(x_plus), _transition_distance(x_minus))
 
 
 def classify_point(cfg: DriveConfig, method: str = "closed") -> PhaseClass:
@@ -104,14 +107,47 @@ def classify_point(cfg: DriveConfig, method: str = "closed") -> PhaseClass:
 
 
 def _scan_cell(b, omega, t_lr, phi, method):
+    """One cell, classified on its own by ``classify_point``.
+
+    ``scan_diagram`` uses it for every lattice cell; closed cells come from
+    the array pass of ``_scan_closed``, which gives the same cell.
+    """
     cfg = DriveConfig(b=b, theta=0.0, phi_l=0.0, phi_r=-phi, omega=omega, t_lr=t_lr)
-    dist = _boundary_distance(cfg)
+    dist = float(_boundary_distance(*_sector_parameters(cfg, "nonadiabatic")))
     phase = error = None
     try:
         phase = classify_point(cfg, method=method)
     except DrivenSpinError as exc:
         error = type(exc).__name__
     return PhaseDiagramCell(b, omega, phase, dist, error)
+
+
+def _scan_closed(bs, ws, t_lr: float, in_phase: bool) -> list[PhaseDiagramCell]:
+    """Closed-form cells of the grid bs x ws, row-major, in one array pass.
+
+    For valid parameters each cell is the one ``_scan_cell`` gives: a cell
+    within TRANSITION_TOL of a transition line records OnTransition, and a
+    sector parameter that overflows is inf, as Python's float division gives.
+    """
+    b_cells = np.repeat(bs, ws.size)
+    omega_cells = np.tile(ws, bs.size)
+    with np.errstate(over="ignore"):
+        x_plus, x_minus = _sector_ratios(b_cells, omega_cells, t_lr, in_phase)
+    on_plus, top_plus = _sector_masks(x_plus)
+    on_minus, top_minus = _sector_masks(x_minus)
+    cells = zip(
+        b_cells.tolist(),
+        omega_cells.tolist(),
+        (on_plus | on_minus).tolist(),
+        (2 * top_plus + top_minus).tolist(),
+        _boundary_distance(x_plus, x_minus).tolist(),
+    )
+    return [
+        PhaseDiagramCell(b, w, None, d, "OnTransition")
+        if on
+        else PhaseDiagramCell(b, w, _PHASES[k], d)
+        for b, w, on, k, d in cells
+    ]
 
 
 def scan_diagram(
@@ -128,7 +164,12 @@ def scan_diagram(
     Cells are centered inside their intervals, so B = 0 (where the
     dimensionless ratios diverge) is never sampled even when the range
     starts at zero.  Per-cell failures are recorded in the cell, never
-    raised; the scan always completes.
+    raised; the scan always completes.  Invalid parameters raise
+    ValueError as the first invalid cell's DriveConfig does.
+
+    The closed method classifies the whole grid in one array pass
+    (``_scan_closed``); the lattice method computes one ``chern_lattice``
+    per cell through ``_scan_cell``.
 
     Returns the cells in row-major order (B outer, Omega inner).
     """
@@ -141,7 +182,16 @@ def scan_diagram(
     if b_lo < 0.0 or w_lo < 0.0:
         raise ValueError("ranges must be non-negative")
     # Validate phi once; per-cell errors are recorded, a bad branch is not.
-    DriveConfig(b=1.0, theta=0.0, phi_l=0.0, phi_r=-phi, t_lr=t_lr).phase_branch()
-    bs = b_lo + (np.arange(n_b) + 0.5) * (b_hi - b_lo) / n_b
-    ws = w_lo + (np.arange(n_omega) + 0.5) * (w_hi - w_lo) / n_omega
-    return [_scan_cell(float(b), float(w), t_lr, phi, method) for b in bs for w in ws]
+    base = DriveConfig(b=1.0, theta=0.0, phi_l=0.0, phi_r=-phi, t_lr=t_lr)
+    in_phase = base.phase_branch() == 0.0
+    with np.errstate(over="ignore"):  # an overflowing cell fails its DriveConfig
+        bs = b_lo + (np.arange(n_b) + 0.5) * (b_hi - b_lo) / n_b
+        ws = w_lo + (np.arange(n_omega) + 0.5) * (w_hi - w_lo) / n_omega
+    if method != "closed":
+        return [_scan_cell(float(b), float(w), t_lr, phi, method) for b in bs for w in ws]
+    # bs and ws are non-decreasing, so a cell is invalid only in a prefix of
+    # b <= 0 rows, in row 0 from the first infinite omega on, or in the rows
+    # of infinite b; these three cells raise what the first invalid one does.
+    for b, w in ((bs[0], ws[0]), (bs[0], ws[-1]), (bs[-1], ws[-1])):
+        DriveConfig(b=b, theta=0.0, phi_l=0.0, phi_r=-phi, omega=w, t_lr=t_lr)
+    return _scan_closed(bs, ws, base.t_lr, in_phase)

@@ -60,6 +60,20 @@ LABELS = (
 )
 
 
+def _sector_ratios(b, omega, t_lr, in_phase: bool):
+    """Cyclic sector parameters (x_+, x_-) of the m2 = +1 and m2 = -1 bands.
+
+    In phase both are mu = omega / b; anti-phase they are
+    Delta_m2 = (omega + 2 m2 t_lr) / b.  Plain arithmetic, so floats give
+    floats and arrays broadcast elementwise; an array caller that may
+    overflow wraps the call in ``np.errstate(over="ignore")``.
+    """
+    if in_phase:
+        mu = omega / b
+        return mu, mu
+    return (omega + 2.0 * t_lr) / b, (omega - 2.0 * t_lr) / b
+
+
 @dataclass(frozen=True)
 class DriveConfig:
     """All physical parameters of the drive.
@@ -111,13 +125,13 @@ class DriveConfig:
     @property
     def mu(self) -> float:
         """Frequency ratio omega / b."""
-        return self.omega / self.b
+        return _sector_ratios(self.b, self.omega, self.t_lr, in_phase=True)[0]
 
     def delta(self, m2: int) -> float:
         """Shifted frequency ratio (omega + 2 m2 t_lr) / b."""
         if m2 not in (-1, 1):
             raise ValueError(f"m2 must be +1 or -1, got {m2}")
-        return (self.omega + 2.0 * m2 * self.t_lr) / self.b
+        return _sector_ratios(self.b, self.omega, self.t_lr, in_phase=False)[0 if m2 > 0 else 1]
 
     @property
     def phi_diff(self) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousMatch, DegenerateGap, NonConverged, NotHermitian
-from .qmodel import LABELS, DriveConfig, StateLabel
+from .qmodel import LABELS, DriveConfig, StateLabel, _sector_ratios
 
 HERMITICITY_TOL = 1e-12
 
@@ -141,7 +141,7 @@ def _sector_parameters(cfg: DriveConfig, regime: str) -> tuple[float, float]:
     """Sector parameters (x_+, x_-) of the m2 = +1 and m2 = -1 bands."""
     in_phase = cfg.phase_branch() == 0.0
     if regime == "nonadiabatic":
-        return (cfg.mu, cfg.mu) if in_phase else (cfg.delta(+1), cfg.delta(-1))
+        return _sector_ratios(cfg.b, cfg.omega, cfg.t_lr, in_phase)
     _require_regime(regime)
     return (0.0, 0.0) if in_phase else (cfg.lam, -cfg.lam)
 

@@ -492,6 +492,31 @@ def test_berry_nonadiabatic_matches_per_band_route(sweep):
     assert rows == [_per_band_berry_row(drive, float(th)) for th in thetas]
 
 
+def test_berry_failing_sweep_solves_each_row_once(monkeypatch, capsys):
+    """After the sweep fails, one labelled solve per row serves its four
+    bands, and the CSV is byte for byte the per-band route's."""
+    calls = []
+    eigh_stack = geometry.eigh_stack
+
+    def counting_eigh_stack(h):
+        calls.append(np.shape(h))
+        return eigh_stack(h)
+
+    monkeypatch.setattr(geometry, "eigh_stack", counting_eigh_stack)
+    argv = (
+        "--format csv berry --b 2 --omega 1.5 --t-lr 1.25 --regime nonadiabatic"
+        " --theta-min 0 --theta-max pi --theta-steps 5"
+    )
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert calls == [(5, 4, 4)] + [(1, 4, 4)] * 5
+    drive = DriveConfig(b=2.0, theta=0.0, phi_r=-0.0, omega=1.5, t_lr=1.25)
+    rows = [_per_band_berry_row(drive, float(th)) for th in np.linspace(0.0, math.pi, 5)]
+    assert [row[-1] for row in rows] == [None, None, "DegenerateGap", None, None]
+    lines = out.splitlines()[:1] + [",".join(map(cli._fmt, row)) for row in rows]
+    assert out == "\n".join(lines) + "\n"
+
+
 class TestChern:
     def test_record(self, capsys):
         code, out, _ = run_cli(

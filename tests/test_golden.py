@@ -5,9 +5,12 @@ under ``tests/golden/``: integers, strings, booleans, nulls, error names
 and document structure must match exactly, floats within GOLDEN_ATOL.
 The nonadiabatic ``berry`` table, the phase diagram (the README's CSV
 ``--out`` form) and ``evolve`` (a ``key,value`` record) are also written
-as CSV through ``--out`` and compared cell by cell.
+as CSV through ``--out`` and compared cell by cell, as is the in-phase
+phase diagram, which is not a README command.
 Numbers are compared, not bytes, because last-bit float differences
-(BLAS threading, eigensolver rounding) are expected and harmless.
+(BLAS threading, eigensolver rounding) are expected and harmless.  The
+closed phase diagrams run no eigensolver, so their CSV is also compared
+byte for byte.
 
 Regenerate after an intended change of results with
 
@@ -47,7 +50,12 @@ README_COMMANDS = {
     ],
     "phase_diagram": ["phase-diagram", "--t-lr", "1", "--phi", "pi"],
 }
-CSV_GOLDENS = ("berry_nonadiabatic", "evolve", "phase_diagram")
+#: CSV-only goldens of commands that are not README examples.
+EXTRA_CSV_COMMANDS = {
+    "phase_diagram_in_phase": ["phase-diagram", "--t-lr", "1", "--phi", "0"],
+}
+CSV_COMMANDS = {**README_COMMANDS, **EXTRA_CSV_COMMANDS}
+CSV_GOLDENS = ("berry_nonadiabatic", "evolve", "phase_diagram", "phase_diagram_in_phase")
 
 
 def run_json(argv) -> dict:
@@ -116,8 +124,14 @@ def test_readme_example_matches_golden(name):
 @pytest.mark.parametrize("name", CSV_GOLDENS)
 def test_readme_example_csv_matches_golden(name, tmp_path):
     want = csv_cells((GOLDEN_DIR / f"{name}.csv").read_text())
-    got = csv_cells(run_csv(README_COMMANDS[name], tmp_path / f"{name}.csv"))
+    got = csv_cells(run_csv(CSV_COMMANDS[name], tmp_path / f"{name}.csv"))
     assert_matches(got, want)
+
+
+@pytest.mark.parametrize("name", ["phase_diagram", "phase_diagram_in_phase"])
+def test_closed_phase_diagram_csv_is_byte_identical(name, tmp_path):
+    want = (GOLDEN_DIR / f"{name}.csv").read_text()
+    assert run_csv(CSV_COMMANDS[name], tmp_path / f"{name}.csv") == want
 
 
 def test_csv_cells_parse_each_kind():
@@ -153,5 +167,5 @@ if __name__ == "__main__":
         (GOLDEN_DIR / f"{name}.json").write_text(buf.getvalue())
         print(f"wrote {GOLDEN_DIR / name}.json")
     for name in CSV_GOLDENS:
-        run_csv(README_COMMANDS[name], GOLDEN_DIR / f"{name}.csv")
+        run_csv(CSV_COMMANDS[name], GOLDEN_DIR / f"{name}.csv")
         print(f"wrote {GOLDEN_DIR / name}.csv")

@@ -1,5 +1,8 @@
+import json
 import math
+import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from drivenspin import (
     scan_diagram,
 )
 from drivenspin import phasescan
+from drivenspin.cli import main
 from drivenspin.geometry import TRANSITION_TOL
 from drivenspin.phasescan import PhaseClass
 
@@ -161,9 +165,10 @@ class TestScanDiagram:
 
         monkeypatch.setattr(phasescan, "_scan_cell", recording_cell)
         closed = scan_diagram((0, 6), (0, 6), 1.0, math.pi, 4, 4)
+        assert threads == []  # the closed scan is one array pass, no per-cell calls
         kwargs = dict(t_lr=1.0, phi=math.pi, n_b=2, n_omega=2)
         lattice = scan_diagram((1, 4), (0.5, 4), method="lattice", **kwargs)
-        assert threads == [threading.get_ident()] * 20
+        assert threads == [threading.get_ident()] * 4
         assert len(closed) == 16 and len(lattice) == 4
         # the lattice route classifies every cell as the closed route does
         assert [c.phase for c in lattice] == [
@@ -178,6 +183,35 @@ class TestScanDiagram:
             scan_diagram((6, 0), (0, 6), 1.0, math.pi, 10, 10)
         with pytest.raises(UnsupportedPhase):
             scan_diagram((0, 6), (0, 6), 1.0, 0.3, 4, 4)
+
+    @pytest.mark.parametrize(
+        "b_range,omega_range,message",
+        [
+            ((0, 0), (0, 6), "b must be > 0, got 0.0"),
+            ((0, 0), (0, 1.7e308), "b must be > 0, got 0.0"),
+            ((0, 6), (0, 1.7e308), "omega must be finite, got inf"),
+            ((0, 1.7e308), (0, 6), "b must be finite, got inf"),
+            ((0, 1.7e308), (0, 1.7e308), "omega must be finite, got inf"),
+        ],
+    )
+    def test_invalid_cell_raises_as_the_first_one(self, b_range, omega_range, message):
+        """The closed scan raises the ValueError of the first invalid cell in
+        row-major order, which the lattice route meets cell by cell, and an
+        overflowing grid warns nothing."""
+        for method in ("closed", "lattice"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    scan_diagram(b_range, omega_range, 1.0, math.pi, 3, 3, method=method)
+
+    def test_overflowing_cell_exits_nonconverged_without_warning(self, capsys):
+        argv = "phase-diagram --b-min 1e-14 --b-max 1e-13 --omega-max 1e+295"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv.split())
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and caught == []
+        assert json.loads(captured.err)["error"]["name"] == "NonConverged"
 
 
 @st.composite
@@ -222,3 +256,44 @@ def test_closed_rules_agree(params):
     for cell in scan_diagram((b, b), (omega, omega), t_lr, phi, 2, 2):
         assert (cell.b, cell.omega, cell.phase) == (b, omega, phase)
         assert (cell.error == "OnTransition") == (cell.boundary_distance <= TRANSITION_TOL)
+
+
+@st.composite
+def closed_grids(draw):
+    """(b_range, omega_range, t_lr, phi, n_b, n_omega) of a closed scan.
+
+    Half the draws shrink the B range to the one value that puts a sector
+    parameter of a drawn omega cell at |x| = 1 + k TRANSITION_TOL, k in
+    -2..2, as near as float rounding allows.
+    """
+    phi = draw(st.sampled_from([0.0, math.pi]))
+    t_lr = draw(st.floats(0.0, 4.0))
+    n_b, n_omega = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    w_lo = draw(st.floats(0.0, 8.0))
+    omega_range = (w_lo, w_lo + draw(st.floats(0.0, 8.0)))
+    b_lo = draw(st.floats(1e-3, 8.0))
+    b_range = (b_lo, b_lo + draw(st.floats(0.0, 8.0)))
+    if draw(st.booleans()):
+        cells = scan_diagram((1.0, 1.0), omega_range, t_lr, phi, 2, n_omega)
+        omega = cells[draw(st.integers(0, n_omega - 1))].omega
+        m2 = 0 if phi == 0.0 else draw(st.sampled_from([1, -1]))
+        x = 1.0 + draw(st.sampled_from([-2, -1, 0, 1, 2])) * TRANSITION_TOL
+        b = abs(omega + 2.0 * m2 * t_lr) / x
+        assume(b > 0.0)
+        b_range = (b, b)
+    return b_range, omega_range, t_lr, phi, n_b, n_omega
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(closed_grids())
+def test_closed_scan_matches_the_scalar_route(grid):
+    """Each cell of the array pass equals ``_scan_cell`` on its own, field for
+    field with floats compared by ==, in row-major order."""
+    b_range, omega_range, t_lr, phi, n_b, n_omega = grid
+    cells = scan_diagram(b_range, omega_range, t_lr, phi, n_b, n_omega)
+    assert len(cells) == n_b * n_omega
+    for k, cell in enumerate(cells):
+        row, col = divmod(k, n_omega)
+        assert (cell.b, cell.omega) == (cells[row * n_omega].b, cells[col].omega)
+        assert type(cell.b) is type(cell.omega) is type(cell.boundary_distance) is float
+        assert cell == phasescan._scan_cell(cell.b, cell.omega, t_lr, phi, "closed")
