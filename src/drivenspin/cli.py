@@ -128,38 +128,81 @@ _PARAM_KEYS = (
 ).split()
 
 
+#: Table rows rendered at a time, which bounds the cell texts held at once.
+_BLOCK_ROWS = 4096
+
+
+class _Texts(dict):
+    """``cell(value)`` by (type, value), each computed once; floats are not kept."""
+
+    def __init__(self, cell):
+        self.cell = cell
+
+    def __missing__(self, key):
+        text = self.cell(key[1])
+        if not isinstance(key[1], (float, np.floating)):  # -0.0 == 0.0 would share a text
+            self[key] = text
+        return text
+
+
+def _table_rows(columns, cell, sep: str, row: str, row_sep: str) -> list[str]:
+    """Texts whose concatenation is the table's rows: one per block of rows, and row_sep.
+
+    Each row is ``row`` with its cells, rendered by ``cell`` and joined by
+    ``sep``, in place of '{}'; ``row_sep`` separates rows.  A block that fails
+    is rendered again row by row, so it raises at the value the whole
+    document would.
+    """
+    start, end = row.split("{}")
+    texts, known = [], _Texts(cell)
+    for i in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [col[i : i + _BLOCK_ROWS] for col in columns]
+        try:  # a finite float is formatted, any other value looked up
+            rows = zip(*[
+                [format(v, ".17g") if type(v) is float and math.isfinite(v) else known[type(v), v]
+                 for v in col]
+                for col in block
+            ])
+        except NonConverged:
+            rows = [list(map(cell, row)) for row in zip(*block)]
+        texts += [row_sep, start + (end + row_sep + start).join(map(sep.join, rows)) + end]
+    return texts[1:]
+
+
 def _emit(args, results, diagnostics: dict) -> None:
     """Write the result document in the selected format.
 
-    ``results`` is a (header, rows) table or a flat record.  JSON holds
+    ``results`` is a (header, columns) table or a flat record.  JSON holds
     schema_version, params, results (a table as columns and rows) and
     diagnostics.  CSV is a table's header and rows, without diagnostics, or
-    a record's ``key,value`` rows, results first, then diagnostics.
+    a record's ``key,value`` rows, results first, then diagnostics.  The
+    document is rendered in full, in document order, before it is written.
     """
     table = isinstance(results, tuple)
     if args.format == "json":
         params = {"command": args.command}
         params.update((k, getattr(args, k)) for k in _PARAM_KEYS if hasattr(args, k))
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "params": params,
-            "results": {"columns": results[0], "rows": results[1]} if table else results,
-            "diagnostics": diagnostics,
-        }
-        text = _json_dumps(doc) + "\n"
+        texts = [
+            f'{{"schema_version": {SCHEMA_VERSION}, "params": {_json_dumps(params)}, "results": '
+        ]
+        if table:
+            texts += [f'{{"columns": {_json_dumps(results[0])}, "rows": [',
+                      *_table_rows(results[1], _json_dumps, ", ", "[{}]", ", "), "]}"]
+        else:
+            texts.append(_json_dumps(results))
+        texts.append(f', "diagnostics": {_json_dumps(diagnostics)}}}\n')
     else:
-        header, rows = (
-            results if table else (["key", "value"], [*results.items(), *diagnostics.items()])
+        header, columns = (
+            results if table
+            else (["key", "value"], list(zip(*results.items(), *diagnostics.items())))
         )
-        lines = [",".join(header)]
-        lines += (",".join(map(_fmt, row)) for row in rows)
-        text = "\n".join(lines) + "\n"
+        texts = [",".join(header) + "\n", *_table_rows(columns, _fmt, ",", "{}\n", "")]
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
         return
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     except OSError as exc:
         raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
 
@@ -202,9 +245,9 @@ def cmd_spectrum(args) -> tuple[tuple, dict]:
     # the assignment is immaterial.
     numeric = np.take_along_axis(values, band_order(closed), axis=-1)
     deviation = float(np.max(np.abs(numeric - closed)))
-    rows = np.column_stack([thetas, numeric, closed]).tolist()
+    columns = np.column_stack([thetas, numeric, closed]).T.tolist()
     header = ["theta"] + _label_columns("num") + _label_columns("closed")
-    return (header, rows), {"max_num_closed_deviation": deviation}
+    return (header, columns), {"max_num_closed_deviation": deviation}
 
 
 def cmd_berry(args) -> tuple[tuple, dict]:
@@ -256,7 +299,8 @@ def cmd_berry(args) -> tuple[tuple, dict]:
     for lab in map(str, LABELS):
         header += [f"num_{lab}", f"closed_{lab}", f"circdiff_{lab}"]
     header.append("error")
-    return (header, rows), {"max_circular_difference": worst, "failed_rows": failed}
+    columns = list(map(list, zip(*rows)))
+    return (header, columns), {"max_circular_difference": worst, "failed_rows": failed}
 
 
 def cmd_chern(args) -> tuple[tuple, dict]:
@@ -265,10 +309,11 @@ def cmd_chern(args) -> tuple[tuple, dict]:
     report = geometry.chern_lattice(
         cfg, n_theta=args.n_theta, n_phi=args.n_phi, regime=args.regime
     )
-    rows = []
-    for lab in LABELS:
-        closed = geometry.chern_closed(cfg, lab, args.regime)
-        rows.append([str(lab), closed, report.c1[lab]])
+    columns = [
+        [str(lab) for lab in LABELS],
+        [geometry.chern_closed(cfg, lab, args.regime) for lab in LABELS],
+        [report.c1[lab] for lab in LABELS],
+    ]
     header = ["label", "closed", "lattice"]
     diagnostics = {
         "min_gap": report.min_gap,
@@ -276,7 +321,7 @@ def cmd_chern(args) -> tuple[tuple, dict]:
         "n_phi": args.n_phi,
         "band_sum": report.band_sum(),
     }
-    return (header, rows), diagnostics
+    return (header, columns), diagnostics
 
 
 def cmd_evolve(args) -> tuple[dict, dict]:
@@ -322,23 +367,20 @@ def cmd_phase_diagram(args) -> tuple[tuple, dict]:
         n_omega=args.n_omega,
         method=args.method,
     )
-    rows = []
-    for cell in cells:
-        rows.append(
-            [
-                cell.b,
-                cell.omega,
-                cell.phase.render() if cell.phase else None,
-                cell.phase.c_plus if cell.phase else None,
-                cell.phase.c_minus if cell.phase else None,
-                cell.boundary_distance,
-                cell.error,
-            ]
-        )
+    phases = [cell.phase for cell in cells]
+    columns = [
+        [cell.b for cell in cells],
+        [cell.omega for cell in cells],
+        [phase and phase.render() for phase in phases],
+        [phase and phase.c_plus for phase in phases],
+        [phase and phase.c_minus for phase in phases],
+        [cell.boundary_distance for cell in cells],
+        [cell.error for cell in cells],
+    ]
     # a cell holds either a class or the name of the error that replaced it
-    counts = Counter(row[2] or row[6] for row in rows)
+    counts = Counter(cls or err for cls, err in zip(columns[2], columns[6]))
     header = ["b", "omega", "class", "c_plus", "c_minus", "boundary_distance", "error"]
-    return (header, rows), {"class_counts": dict(sorted(counts.items()))}
+    return (header, columns), {"class_counts": dict(sorted(counts.items()))}
 
 
 # ---------------------------------------------------------------------------

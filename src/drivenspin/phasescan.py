@@ -82,10 +82,7 @@ def classify_point(cfg: DriveConfig, method: str = "closed") -> PhaseClass:
     """
     if method == "closed":
         x_plus, x_minus = _sector_parameters(cfg, "nonadiabatic")
-        return PhaseClass(
-            c_plus=1 if _is_topological(x_plus) else 0,
-            c_minus=1 if _is_topological(x_minus) else 0,
-        )
+        return _PHASES[2 * _is_topological(x_plus) + _is_topological(x_minus)]
     if method == "lattice":
         report = chern_lattice(
             cfg,

@@ -103,11 +103,11 @@ class DriveConfig:
     t_lr: float = 0.0
 
     def __post_init__(self):
-        for name in ("b", "theta", "phi_l", "phi_r", "omega", "t_lr"):
-            value = float(getattr(self, name))
+        fields = self.__dict__  # the six fields, in declaration order
+        for name, value in fields.items():
+            value = fields[name] = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
         if self.b <= 0.0:
             raise ValueError(f"b must be > 0, got {self.b}")
         if not 0.0 <= self.theta <= math.pi:

@@ -1,7 +1,11 @@
+import argparse
 import io
 import json
 import math
+import os
 import re
+import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
@@ -14,6 +18,7 @@ from drivenspin import (
     LABELS,
     DriveConfig,
     DrivenSpinError,
+    NonConverged,
     aa_phase_closed,
     circular_distance,
     cli,
@@ -553,6 +558,107 @@ class TestPhaseDiagram:
         counts = doc["diagnostics"]["class_counts"]
         assert set(counts) >= {"(0,0)", "(0,Z)", "(Z,Z)"}
         assert "(Z,0)" not in counts
+
+
+def test_diagram_document_is_rendered_in_blocks(tmp_path):
+    """A 200x200 closed JSON diagram peaks at 12 MiB traced; rendering its
+    whole table at once, one text per cell, peaks at 24 MiB."""
+    argv = ["--out", str(tmp_path / "d.json"), "phase-diagram", "--n-b", "200", "--n-omega", "200"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+#: The rows of a table rendered at a time while the property test runs.
+_TEST_BLOCK = 4
+
+#: Kinds of table cells; equal values of different types share a kind.
+_CELL_KINDS = (
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]),
+    st.sampled_from([0, 1, True, False, None, np.int64(1), np.bool_(True)]),
+    st.integers(),
+    st.text(st.sampled_from('a"\\,()\u00e9\u03c0\U0001f600\n') | st.characters(codec="utf-8")),
+    st.sampled_from([0.0, -0.0, 1.5]).map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+_CELLS = st.one_of(_CELL_KINDS)
+
+
+@st.composite
+def documents(draw):
+    """(results, rows, diagnostics): a table with its rows, or a record (rows
+    None), some with inf, -inf or nan in place of a cell."""
+    diagnostics = draw(st.dictionaries(st.text(max_size=3), _CELLS, max_size=2))
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+        record = {key: draw(_CELLS) for key in keys}
+        return record, None, diagnostics
+    n_rows = draw(st.sampled_from([1, _TEST_BLOCK - 1, _TEST_BLOCK, _TEST_BLOCK + 1]))
+    n_cols = draw(st.integers(1, 4))
+    kinds = [draw(st.sampled_from([_CELLS, *_CELL_KINDS])) for _ in range(n_cols)]
+    columns = [draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    bad = st.sampled_from([math.inf, -math.inf, math.nan, np.float64(-math.inf)])
+    for i, j, value in draw(st.lists(st.tuples(
+        st.integers(0, n_rows - 1), st.integers(0, n_cols - 1), bad), max_size=2
+    )):
+        columns[j][i] = value
+    header = [f"c{j}" for j in range(n_cols)]
+    return (header, columns), [list(row) for row in zip(*columns)], diagnostics
+
+
+def _row_rule(fmt, results, rows, diagnostics) -> str:
+    """A document as rendered before tables were columns: value by value, row by row."""
+    if fmt == "json":
+        doc = {
+            "schema_version": cli.SCHEMA_VERSION,
+            "params": {"command": "table"},
+            "results": results if rows is None else {"columns": results[0], "rows": rows},
+            "diagnostics": diagnostics,
+        }
+        return cli._json_dumps(doc) + "\n"
+    header, rows = (
+        (["key", "value"], [*results.items(), *diagnostics.items()]) if rows is None
+        else (results[0], rows)
+    )
+    return "\n".join([",".join(header), *(",".join(map(cli._fmt, row)) for row in rows)]) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["json", "csv"]), st.booleans(), documents())
+def test_documents_match_the_row_rule(fmt, to_file, document):
+    """Block-wise column rendering writes the text the row rule does, across
+    block edges; where the row rule raises NonConverged it raises the same
+    error and writes nothing."""
+    results, rows, diagnostics = document
+    try:
+        want = _row_rule(fmt, results, rows, diagnostics)
+    except NonConverged as exc:
+        want = exc
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(cli, "_BLOCK_ROWS", _TEST_BLOCK)
+        path = os.path.join(tmp, "doc")
+        args = argparse.Namespace(format=fmt, out=path if to_file else None, command="table")
+        with redirect_stdout(out):
+            if isinstance(want, NonConverged):
+                with pytest.raises(NonConverged) as raised:
+                    cli._emit(args, results, diagnostics)
+                assert str(raised.value) == str(want)
+                assert out.getvalue() == "" and not os.path.exists(path)
+                return
+            cli._emit(args, results, diagnostics)
+        if to_file:
+            assert out.getvalue() == ""
+            with open(path, "rb") as fh:
+                assert fh.read() == want.encode("utf-8")
+        else:
+            assert out.getvalue() == want
 
 
 _MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e))

@@ -9,8 +9,8 @@ as CSV through ``--out`` and compared cell by cell, as is the in-phase
 phase diagram, which is not a README command.
 Numbers are compared, not bytes, because last-bit float differences
 (BLAS threading, eigensolver rounding) are expected and harmless.  The
-closed phase diagrams run no eigensolver, so their CSV is also compared
-byte for byte.
+closed phase diagrams run no eigensolver, so their CSV, and the README
+diagram's JSON, are also compared byte for byte.
 
 Regenerate after an intended change of results with
 
@@ -132,6 +132,13 @@ def test_readme_example_csv_matches_golden(name, tmp_path):
 def test_closed_phase_diagram_csv_is_byte_identical(name, tmp_path):
     want = (GOLDEN_DIR / f"{name}.csv").read_text()
     assert run_csv(CSV_COMMANDS[name], tmp_path / f"{name}.csv") == want
+
+
+def test_closed_phase_diagram_json_is_byte_identical():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(README_COMMANDS["phase_diagram"]) == 0
+    assert buf.getvalue() == (GOLDEN_DIR / "phase_diagram.json").read_text()
 
 
 def test_csv_cells_parse_each_kind():
