@@ -22,6 +22,7 @@ import sys
 from collections import Counter
 from contextlib import suppress
 from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -367,18 +368,16 @@ def cmd_phase_diagram(args) -> tuple[tuple, dict]:
         n_omega=args.n_omega,
         method=args.method,
     )
-    phases = [cell.phase for cell in cells]
-    columns = [
-        [cell.b for cell in cells],
-        [cell.omega for cell in cells],
-        [phase and phase.render() for phase in phases],
-        [phase and phase.c_plus for phase in phases],
-        [phase and phase.c_minus for phase in phases],
-        [cell.boundary_distance for cell in cells],
-        [cell.error for cell in cells],
-    ]
+    # unzipped one column at a time: zip(*cells) makes an iterator per cell,
+    # and the garbage collections they set off cost more than the unzip
+    b, omega, phases, distances, errors = (list(map(itemgetter(k), cells)) for k in range(5))
+    by_phase = {None: (None, None, None)}  # the class, c_plus and c_minus columns
+    by_phase.update((p, (p.render(), p.c_plus, p.c_minus)) for p in phasescan._PHASES)
+    rows = list(map(by_phase.__getitem__, phases))
+    classes, c_plus, c_minus = (list(map(itemgetter(k), rows)) for k in range(3))
     # a cell holds either a class or the name of the error that replaced it
-    counts = Counter(cls or err for cls, err in zip(columns[2], columns[6]))
+    counts = Counter(cls or err for cls, err in zip(classes, errors))
+    columns = [b, omega, classes, c_plus, c_minus, distances, errors]
     header = ["b", "omega", "class", "c_plus", "c_minus", "boundary_distance", "error"]
     return (header, columns), {"class_counts": dict(sorted(counts.items()))}
 

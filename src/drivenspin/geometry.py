@@ -491,7 +491,9 @@ def chern_lattice(
         Drive parameters; cfg.theta is ignored (theta is integrated over).
     n_theta, n_phi : int
         Grid resolution, at least 20 each.  Even n_theta avoids placing a
-        grid row on the equator, where anti-phase bands cross.
+        grid row on the equator, where anti-phase bands cross.  A
+        nonadiabatic grid is covariant under the drive rotation, so its
+        ``c1``, ``min_gap`` and error name do not depend on n_phi.
     regime : {'adiabatic', 'nonadiabatic'}
         Instantaneous eigenstates of the lab Hamiltonian, or rotating-frame
         eigenvectors carried around the loop by the drive rotation.

@@ -11,6 +11,7 @@ always.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,7 @@ class PhaseClass:
         return f"({'Z' if self.c_plus else '0'},{'Z' if self.c_minus else '0'})"
 
 
-@dataclass(frozen=True)
-class PhaseDiagramCell:
+class PhaseDiagramCell(NamedTuple):
     """One cell of the phase diagram scan.
 
     ``phase`` is None when the cell could not be classified; ``error`` then
@@ -99,7 +99,7 @@ def classify_point(cfg: DriveConfig, method: str = "closed") -> PhaseClass:
                     f"unexpected lattice invariants in m2={m2:+d} sector: {up}, {dn}"
                 )
             mags[m2] = abs(up)
-        return PhaseClass(c_plus=mags[+1], c_minus=mags[-1])
+        return _PHASES[2 * mags[+1] + mags[-1]]
     raise ValueError(f"method must be 'closed' or 'lattice', got {method!r}")
 
 
@@ -132,19 +132,24 @@ def _scan_closed(bs, ws, t_lr: float, in_phase: bool) -> list[PhaseDiagramCell]:
         x_plus, x_minus = _sector_ratios(b_cells, omega_cells, t_lr, in_phase)
     on_plus, top_plus = _sector_masks(x_plus)
     on_minus, top_minus = _sector_masks(x_minus)
-    cells = zip(
+    on = on_plus | on_minus
+    phases = np.array([*_PHASES, None], dtype=object)  # None for a cell on a transition line
+    return list(map(
+        PhaseDiagramCell,
         b_cells.tolist(),
         omega_cells.tolist(),
-        (on_plus | on_minus).tolist(),
-        (2 * top_plus + top_minus).tolist(),
+        phases[np.where(on, 4, 2 * top_plus + top_minus)].tolist(),
         _boundary_distance(x_plus, x_minus).tolist(),
-    )
-    return [
-        PhaseDiagramCell(b, w, None, d, "OnTransition")
-        if on
-        else PhaseDiagramCell(b, w, _PHASES[k], d)
-        for b, w, on, k, d in cells
-    ]
+        np.where(on, "OnTransition", None).tolist(),
+    ))
+
+
+def _centres(lo: float, hi: float, n: int) -> np.ndarray:
+    """Cell centres lo + (i + 0.5) (hi - lo) / n, the width taken first where that overflows."""
+    i = np.arange(n) + 0.5
+    with np.errstate(over="ignore"):
+        span = i * (hi - lo)
+        return lo + np.where(np.isfinite(span), span / n, i * ((hi - lo) / n))
 
 
 def scan_diagram(
@@ -181,14 +186,10 @@ def scan_diagram(
     # Validate phi once; per-cell errors are recorded, a bad branch is not.
     base = DriveConfig(b=1.0, theta=0.0, phi_l=0.0, phi_r=-phi, t_lr=t_lr)
     in_phase = base.phase_branch() == 0.0
-    with np.errstate(over="ignore"):  # an overflowing cell fails its DriveConfig
-        bs = b_lo + (np.arange(n_b) + 0.5) * (b_hi - b_lo) / n_b
-        ws = w_lo + (np.arange(n_omega) + 0.5) * (w_hi - w_lo) / n_omega
+    bs, ws = _centres(b_lo, b_hi, n_b), _centres(w_lo, w_hi, n_omega)
+    # Finite ranges give finite centres, a non-finite range none, and b <= 0
+    # rows are a prefix: the first cell is invalid if any is, and raises so.
+    DriveConfig(b=bs[0], theta=0.0, phi_l=0.0, phi_r=-phi, omega=ws[0], t_lr=t_lr)
     if method != "closed":
         return [_scan_cell(float(b), float(w), t_lr, phi, method) for b in bs for w in ws]
-    # bs and ws are non-decreasing, so a cell is invalid only in a prefix of
-    # b <= 0 rows, in row 0 from the first infinite omega on, or in the rows
-    # of infinite b; these three cells raise what the first invalid one does.
-    for b, w in ((bs[0], ws[0]), (bs[0], ws[-1]), (bs[-1], ws[-1])):
-        DriveConfig(b=b, theta=0.0, phi_l=0.0, phi_r=-phi, omega=w, t_lr=t_lr)
     return _scan_closed(bs, ws, base.t_lr, in_phase)

@@ -240,9 +240,11 @@ def _label_bands(cfg, regime, values, theta=None, where=None):
     deviation as ``residual``, so that a caller labelling a grid in blocks
     can raise what one pass over the whole grid would.
 
-    Returns (order, min_gap); order[..., k] is the column of label k.
+    Returns (order, min_gap); order[..., k] is the column of label k.  A gap
+    wider than the float range is inf, a resolved gap.
     """
-    gaps = np.diff(values, axis=-1)
+    with np.errstate(over="ignore"):
+        gaps = np.diff(values, axis=-1)
     min_gap = float(np.min(gaps))
     if min_gap < DEGENERACY_FACTOR * cfg.b:
         message = f"eigenvalue gap {min_gap:.3e} below {DEGENERACY_FACTOR * cfg.b:.1e}"

@@ -6,6 +6,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from drivenspin import (
     fold_phase,
     geometry,
     rotating_sz_expectation,
+    scan_diagram,
 )
 from drivenspin.cli import MAX_GRID_POINTS, main, parse_angle
 from drivenspin.evolution import RK4_DRIFT_TOL
@@ -186,6 +188,32 @@ class TestErrors:
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["name"] == name
+
+    @pytest.mark.parametrize(
+        "argv,code,name",
+        [
+            # spectra wider than the float range: their gaps are inf, not a warning
+            ("chern --b 1.5e308 --omega 1.5e308 --regime nonadiabatic", 3, "DegenerateGap"),
+            ("berry --b 1.5e308 --omega 1.5e308 --regime nonadiabatic --theta-steps 2",
+             0, None),
+            ("chern --b 1.7e308 --t-lr 1e308 --phi pi", 3, "NonConverged"),
+            ("phase-diagram --b-min 1e308 --b-max 1.7e308 --omega-min 1e308"
+             " --omega-max 1.7e308 --n-b 2 --n-omega 2 --method lattice", 0, None),
+            # a finite range has finite cell centres; the sector parameter may overflow
+            ("phase-diagram --b-max 1.7e308 --n-b 3", 0, None),
+            ("phase-diagram --omega-max 1.7e308 --n-omega 3", 3, "NonConverged"),
+            ("phase-diagram --b-max inf", 2, "ValidationError"),
+        ],
+    )
+    def test_overflowing_inputs_print_only_their_record(self, capsys, argv, code, name):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, out, err = run_cli(capsys, *argv.split())
+        assert (got, caught) == (code, [])
+        if name is None:
+            assert err == "" and json.loads(out)
+        else:
+            assert out == "" and json.loads(err)["error"]["name"] == name
 
     def test_overflowing_closed_forms_fail_berry_rows(self, capsys):
         # mu = omega / b overflows; the bands stay resolved, so labeling refuses
@@ -558,6 +586,33 @@ class TestPhaseDiagram:
         counts = doc["diagnostics"]["class_counts"]
         assert set(counts) >= {"(0,0)", "(0,Z)", "(Z,Z)"}
         assert "(Z,0)" not in counts
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_lattice_document_is_its_scan(self, capsys, fmt):
+        """Each row of a lattice document is its scan cell, field for field;
+        two of the four cells sit on a transition line and fail."""
+        code, out, _ = run_cli(
+            capsys, "--format", fmt, "phase-diagram", "--b-min", "0.5", "--b-max", "1.5",
+            "--omega-min", "2.5", "--omega-max", "3.5", "--n-b", "2", "--n-omega", "2",
+            "--t-lr", "1", "--phi", "pi", "--method", "lattice",
+        )
+        assert code == 0
+        cells = scan_diagram((0.5, 1.5), (2.5, 3.5), 1.0, math.pi, 2, 2, method="lattice")
+        want = [
+            [c.b, c.omega, c.phase and c.phase.render(), c.phase and c.phase.c_plus,
+             c.phase and c.phase.c_minus, c.boundary_distance, c.error]
+            for c in cells
+        ]
+        assert [row[-1] for row in want] == ["DegenerateGap", None, None, "DegenerateGap"]
+        if fmt == "json":
+            rows = json.loads(out)["results"]["rows"]
+        else:
+            header, *lines = out.splitlines()
+            assert header == "b,omega,class,c_plus,c_minus,boundary_distance,error"
+            types = (float, float, str, int, int, float, str)
+            rows = [[t(v) if v else None for t, v in zip(types, csv_cells(line))]
+                    for line in lines]
+        assert rows == want
 
 
 def test_diagram_document_is_rendered_in_blocks(tmp_path):

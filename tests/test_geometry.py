@@ -10,6 +10,7 @@ from drivenspin import (
     AmbiguousMatch,
     DegenerateGap,
     DriveConfig,
+    DrivenSpinError,
     LABELS,
     NonConverged,
     OnTransition,
@@ -579,6 +580,32 @@ def test_chern_is_the_pole_sz_difference():
     # regimes and both branches must still be checked many times
     assert len(checked) >= 50, f"{len(checked)} checked, {len(degenerate)} degenerate"
     assert len(set(checked)) == 4
+
+
+def test_nonadiabatic_chern_ignores_n_phi():
+    # The rotating grid is covariant, so its flux is the pole <Sz_total>
+    # difference whatever the varphi resolution: c1, min_gap and the failure
+    # name are those of n_phi = 20.
+    checked = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_DRIVE_POINTS, st.integers(20, 41))
+    def check(cfg, n_theta):
+        outcomes = []
+        for n_phi in (20, 33, 100):
+            try:
+                report = chern_lattice(cfg, n_theta, n_phi, "nonadiabatic")
+                outcomes.append((report.c1, report.min_gap))
+            except DrivenSpinError as exc:
+                outcomes.append(type(exc).__name__)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        checked.add((n_theta % 2, cfg.phase_branch(), isinstance(outcomes[0], str)))
+
+    check()
+    # odd and even n_theta, both branches, each with a resolved grid
+    assert {(odd, branch) for odd, branch, failed in checked if not failed} == {
+        (odd, branch) for odd in (0, 1) for branch in (0.0, math.pi)
+    }
 
 
 @pytest.mark.parametrize(

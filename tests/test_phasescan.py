@@ -21,7 +21,7 @@ from drivenspin import (
 from drivenspin import phasescan
 from drivenspin.cli import main
 from drivenspin.geometry import TRANSITION_TOL
-from drivenspin.phasescan import PhaseClass
+from drivenspin.phasescan import PhaseClass, PhaseDiagramCell
 
 
 def point(b, omega, t_lr=1.0, phi=math.pi):
@@ -72,6 +72,15 @@ class TestClassifyPoint:
     def test_in_phase_branch(self):
         assert classify_point(point(b=2.0, omega=0.5, t_lr=0.4, phi=0.0)) == PhaseClass(1, 1)
         assert classify_point(point(b=2.0, omega=3.0, t_lr=0.4, phi=0.0)) == PhaseClass(0, 0)
+
+
+def test_cell_is_a_named_tuple():
+    cell = PhaseDiagramCell(2.0, 0.5, PhaseClass(0, 1), 0.25)
+    assert PhaseDiagramCell._fields == ("b", "omega", "phase", "boundary_distance", "error")
+    assert cell == (2.0, 0.5, PhaseClass(0, 1), 0.25, None)
+    assert cell._replace(phase=None, error="OnTransition") == (
+        2.0, 0.5, None, 0.25, "OnTransition"
+    )
 
 
 class TestScanDiagram:
@@ -189,20 +198,42 @@ class TestScanDiagram:
         [
             ((0, 0), (0, 6), "b must be > 0, got 0.0"),
             ((0, 0), (0, 1.7e308), "b must be > 0, got 0.0"),
-            ((0, 6), (0, 1.7e308), "omega must be finite, got inf"),
-            ((0, 1.7e308), (0, 6), "b must be finite, got inf"),
-            ((0, 1.7e308), (0, 1.7e308), "omega must be finite, got inf"),
+            ((0, 6), (0, math.inf), "omega must be finite, got inf"),
+            ((0, math.inf), (0, 6), "b must be finite, got inf"),
+            ((0, 0), (0, math.inf), "omega must be finite, got inf"),
         ],
     )
     def test_invalid_cell_raises_as_the_first_one(self, b_range, omega_range, message):
         """The closed scan raises the ValueError of the first invalid cell in
-        row-major order, which the lattice route meets cell by cell, and an
-        overflowing grid warns nothing."""
+        row-major order, which the lattice route meets cell by cell, and a
+        non-finite range warns nothing."""
         for method in ("closed", "lattice"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     scan_diagram(b_range, omega_range, 1.0, math.pi, 3, 3, method=method)
+
+    @pytest.mark.parametrize(
+        "b_range,omega_range",
+        [((0, 6), (0, 1.7e308)), ((0, 1.7e308), (0, 6)), ((0, 1.7e308), (0, 1.7e308))],
+    )
+    def test_overflowing_range_has_finite_centres(self, b_range, omega_range):
+        """Where (i + 0.5) (hi - lo) overflows, the centre divides the width
+        first; every other centre is the plain formula's, bit for bit.  Both
+        methods complete without a warning."""
+        centres = []
+        for lo, hi in (b_range, omega_range):
+            plain = [lo + (i + 0.5) * (hi - lo) / 3 for i in range(3)]
+            centres.append([c if math.isfinite(c) else lo + (i + 0.5) * ((hi - lo) / 3)
+                            for i, c in enumerate(plain)])
+        assert all(map(math.isfinite, centres[0] + centres[1]))
+        for method in ("closed", "lattice"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cells = scan_diagram(b_range, omega_range, 1.0, math.pi, 3, 3, method=method)
+            assert [(c.b, c.omega) for c in cells] == [
+                (b, w) for b in centres[0] for w in centres[1]
+            ]
 
     def test_overflowing_cell_exits_nonconverged_without_warning(self, capsys):
         argv = "phase-diagram --b-min 1e-14 --b-max 1e-13 --omega-max 1e+295"
