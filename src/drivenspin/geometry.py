@@ -180,16 +180,20 @@ def lattice_flux(states: np.ndarray) -> np.ndarray:
     links_t = np.einsum(
         "ijk...,ijk...->ij...", np.conj(states[:-1]), states[1:]
     )
+    plaq = _plaquettes(links_p, links_t, np.roll(links_t, -1, axis=1))
+    return np.sum(np.angle(plaq), axis=(0, 1)) / (2.0 * math.pi)
+
+
+def _plaquettes(links_p, links_t, links_t_next):
+    """Varphi-first plaquette products u(i,j) -> u(i,j+1) -> u(i+1,j+1) -> u(i+1,j).
+
+    ``links_p`` are the varphi links of every row; ``links_t`` and
+    ``links_t_next`` the theta links of columns j and j + 1.  A vanishing
+    varphi link or column-j theta link raises NonConverged.
+    """
     if min(np.min(np.abs(links_p)), np.min(np.abs(links_t))) < 1e-12:
         raise NonConverged("vanishing link overlap; grid hits a band degeneracy")
-    # varphi-first orientation: u(i,j) -> u(i,j+1) -> u(i+1,j+1) -> u(i+1,j)
-    plaq = (
-        links_p[:-1]
-        * np.roll(links_t, -1, axis=1)
-        * np.conj(links_p[1:])
-        * np.conj(links_t)
-    )
-    return np.sum(np.angle(plaq), axis=(0, 1)) / (2.0 * math.pi)
+    return links_p[:-1] * links_t_next * np.conj(links_p[1:]) * np.conj(links_t)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +438,7 @@ def curvature_numeric(
 # ---------------------------------------------------------------------------
 
 
-#: Theta rows of one block of the Chern grid.  Blocks share their last row
+#: Theta rows of one block of the adiabatic Chern grid.  Blocks share their last row
 #: with the next block, so each plaquette is summed once, and at most
 #: _CHERN_BLOCK + 1 rows of states are held at a time.
 _CHERN_BLOCK = 64
@@ -479,9 +483,14 @@ def chern_lattice(
     exact multiple of 2 pi.  One diagonalization pass serves all four
     bands, so they are always computed together.
 
-    The grid is built, labelled and summed in blocks of _CHERN_BLOCK theta
-    rows that share their boundary rows, so memory does not grow with
-    n_theta.  ``c1``, ``min_gap`` and the error raised, message included,
+    The adiabatic grid is built, labelled and summed in blocks of
+    _CHERN_BLOCK theta rows that share their boundary rows, so memory does
+    not grow with n_theta.  The nonadiabatic grid is covariant under the
+    drive rotation, so every plaquette of a theta row has the same value;
+    it is summed as n_phi times one strip of plaquettes, from one
+    eigensolve of the n_theta rotating-frame Hamiltonians.  Its real checks
+    are that every theta row is labelled and that no theta link vanishes.
+    Either way ``c1``, ``min_gap`` and the error raised, message included,
     are those of one pass over the whole grid; the flux differs from that
     pass only in its last bits.
 
@@ -511,22 +520,30 @@ def chern_lattice(
     _require_regime(regime)
     thetas = np.linspace(0.0, math.pi, int(n_theta))
     phis = 2.0 * math.pi * np.arange(int(n_phi)) / int(n_phi)
-    builder = _adiabatic_band_states if regime == "adiabatic" else _rotating_band_states
-    flux, min_gap, failures = 0.0, math.inf, []
-    for start in range(0, len(thetas) - 1, _CHERN_BLOCK):
-        try:
-            states, gap = builder(cfg, thetas[start : start + _CHERN_BLOCK + 1], phis)
-        except (DegenerateGap, AmbiguousMatch) as exc:
-            failures.append(exc)
-            continue
-        min_gap = min(min_gap, gap)
-        if not failures:
+    if regime == "nonadiabatic":
+        # every plaquette of a theta row has the value of its first column's
+        states, min_gap = _rotating_band_states(cfg, thetas, phis[:2])
+        links_p = np.einsum("ik...,ik...->i...", np.conj(states[:, 0]), states[:, 1])
+        links_t = np.einsum("ijk...,ijk...->ij...", np.conj(states[:-1]), states[1:])
+        plaq = _plaquettes(links_p, links_t[:, 0], links_t[:, 1])
+        flux = len(phis) * np.sum(np.angle(plaq), axis=0) / (2.0 * math.pi)
+    else:
+        flux, min_gap, failures = 0.0, math.inf, []
+        for start in range(0, len(thetas) - 1, _CHERN_BLOCK):
+            block = thetas[start : start + _CHERN_BLOCK + 1]
             try:
-                flux = flux + lattice_flux(states)
-            except NonConverged as exc:
+                states, gap = _adiabatic_band_states(cfg, block, phis)
+            except (DegenerateGap, AmbiguousMatch) as exc:
                 failures.append(exc)
-    if failures:
-        raise min(failures, key=_failure_rank)
+                continue
+            min_gap = min(min_gap, gap)
+            if not failures:
+                try:
+                    flux = flux + lattice_flux(states)
+                except NonConverged as exc:
+                    failures.append(exc)
+        if failures:
+            raise min(failures, key=_failure_rank)
     c1 = {}
     for k, lab in enumerate(LABELS):
         rounded = round(float(flux[k]))

@@ -365,11 +365,43 @@ def _outcome(call):
         return type(exc).__name__, str(exc)
 
 
+def _strip_matches_full_grid(n_theta, phi_r):
+    """The nonadiabatic strip against the full covariant grid summed by lattice_flux.
+
+    Seeded draws on one branch, some with t_lr = 0 (a zero gap) or
+    t_lr / b ~ 1e8 (eigh misses the closed form), at several n_phi.
+    """
+    rng = np.random.default_rng(n_theta)
+    failed = 0
+    for n_phi in (20, 33, 40, 100):
+        for _ in range(5):
+            b, kind = rng.uniform(0.5, 4.0), rng.integers(10)
+            if kind > 1:
+                t_lr = rng.uniform(0.0, 2.0)
+            else:
+                t_lr = b * rng.uniform(1e8, 1e9) if kind else 0.0
+            cfg = DriveConfig(b=b, theta=0.0, phi_r=phi_r, omega=rng.uniform(0, 3), t_lr=t_lr)
+            single = _outcome(lambda: _single_pass_chern(cfg, n_theta, n_phi, "nonadiabatic"))
+            strip = _outcome(lambda: chern_lattice(cfg, n_theta, n_phi, "nonadiabatic"))
+            if isinstance(single[0], str):
+                assert strip == single  # name and message
+                failed += 1
+                continue
+            flux, min_gap = single
+            assert np.max(np.abs(flux - np.round(flux))) < 1e-9
+            assert strip.c1 == {lab: round(float(flux[k])) for k, lab in enumerate(LABELS)}
+            assert strip.min_gap == min_gap
+    assert 0 < failed < 20
+
+
 class TestChernBlocks:
     @pytest.mark.parametrize("phi_r", [0.0, -math.pi], ids=["phi0", "phipi"])
     @pytest.mark.parametrize("regime", ["adiabatic", "nonadiabatic"])
     @pytest.mark.parametrize("n_theta", [20, 64, 65, 66, 129, 200])
     def test_matches_single_pass(self, monkeypatch, n_theta, regime, phi_r):
+        if regime == "nonadiabatic":
+            _strip_matches_full_grid(n_theta, phi_r)
+            return
         assert _CHERN_BLOCK == 64  # the n_theta cases straddle one and two blocks
         cfg = DriveConfig(b=2.0, theta=0.0, phi_r=phi_r, omega=1.5, t_lr=0.45)
         single = _outcome(lambda: _single_pass_chern(cfg, n_theta, 40, regime))
@@ -426,9 +458,27 @@ class TestChernBlocks:
 
         # one pass over a 400x400 adiabatic grid peaks near 150 MiB
         assert traced_peak(anti_phase(t_lr=0.45), 400, "adiabatic") < 40 * 2**20
-        driven = anti_phase(omega=1.5, t_lr=0.45)
-        peaks = [traced_peak(driven, n, "nonadiabatic") for n in (200, 800)]
-        assert abs(peaks[1] / peaks[0] - 1.0) < 0.1
+        # the nonadiabatic strip holds two varphi columns, about 0.5 KiB a
+        # row; the 800x400 grid in 64-row blocks peaked at 20.6 MiB
+        assert traced_peak(anti_phase(omega=1.5, t_lr=0.45), 800, "nonadiabatic") < 2 * 2**20
+
+    @pytest.mark.parametrize("n_phi", [20, 100, 400])
+    def test_nonadiabatic_grid_is_one_strip(self, monkeypatch, n_phi):
+        calls = []
+
+        def recording(name, fn):
+            def wrapped(*args):
+                calls.append((name, np.shape(args[0])))
+                return fn(*args)
+
+            monkeypatch.setattr(geometry, name, wrapped)
+
+        for name in ("eigh_stack", "lattice_flux", "_plaquettes"):
+            recording(name, getattr(geometry, name))
+        chern_lattice(anti_phase(omega=1.5, t_lr=0.45), 100, n_phi, "nonadiabatic")
+        # one eigensolve of the 100 rotating-frame rows, and one strip of
+        # 99 plaquettes per band: no lattice_flux over a 100 x n_phi grid
+        assert calls == [("eigh_stack", (100, 4, 4)), ("_plaquettes", (100, 4))]
 
 
 class TestChernClosed:
