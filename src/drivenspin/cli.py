@@ -134,38 +134,52 @@ _BLOCK_ROWS = 4096
 
 
 class _Texts(dict):
-    """``cell(value)`` by (type, value), each computed once; floats are not kept."""
+    """``cell(value)`` of one block's values, each distinct value computed once.
+
+    A Python float is its own key; any other value is keyed by (type, value),
+    since 1, 1.0 and True are equal.  A float zero is not kept: -0.0 == 0.0
+    would share a text.
+    """
 
     def __init__(self, cell):
         self.cell = cell
 
     def __missing__(self, key):
-        text = self.cell(key[1])
-        if not isinstance(key[1], (float, np.floating)):  # -0.0 == 0.0 would share a text
+        value = key[1] if type(key) is tuple else key
+        text = self.cell(value)
+        if value or not isinstance(value, (float, np.floating)):
             self[key] = text
         return text
 
 
-def _table_rows(columns, cell, sep: str, row: str, row_sep: str) -> list[str]:
+def _table_rows(columns, cell, sep: str, row: str, row_sep: str, header=None) -> list[str]:
     """Texts whose concatenation is the table's rows: one per block of rows, and row_sep.
 
     Each row is ``row`` with its cells, rendered by ``cell`` and joined by
     ``sep``, in place of '{}'; ``row_sep`` separates rows.  A block that fails
     is rendered again row by row, so it raises at the value the whole
-    document would.
+    document would; with a ``header``, the error names that value's column
+    and row (counted from 0).
     """
     start, end = row.split("{}")
-    texts, known = [], _Texts(cell)
+    texts = []
     for i in range(0, len(columns[0]), _BLOCK_ROWS):
         block = [col[i : i + _BLOCK_ROWS] for col in columns]
-        try:  # a finite float is formatted, any other value looked up
+        known = _Texts(cell)
+        try:
             rows = zip(*[
-                [format(v, ".17g") if type(v) is float and math.isfinite(v) else known[type(v), v]
-                 for v in col]
+                [known[v] if type(v) is float else known[type(v), v] for v in col]
                 for col in block
             ])
-        except NonConverged:
-            rows = [list(map(cell, row)) for row in zip(*block)]
+        except NonConverged:  # raised again, at the block's first bad cell in row order
+            for r, values in enumerate(zip(*block), i):
+                for j, v in enumerate(values):
+                    try:
+                        cell(v)
+                    except NonConverged as exc:
+                        if header is None:
+                            raise
+                        raise NonConverged(f"{exc} in column {header[j]!r} at row {r}") from None
         texts += [row_sep, start + (end + row_sep + start).join(map(sep.join, rows)) + end]
     return texts[1:]
 
@@ -188,7 +202,8 @@ def _emit(args, results, diagnostics: dict) -> None:
         ]
         if table:
             texts += [f'{{"columns": {_json_dumps(results[0])}, "rows": [',
-                      *_table_rows(results[1], _json_dumps, ", ", "[{}]", ", "), "]}"]
+                      *_table_rows(results[1], _json_dumps, ", ", "[{}]", ", ", results[0]),
+                      "]}"]
         else:
             texts.append(_json_dumps(results))
         texts.append(f', "diagnostics": {_json_dumps(diagnostics)}}}\n')
@@ -197,7 +212,8 @@ def _emit(args, results, diagnostics: dict) -> None:
             results if table
             else (["key", "value"], list(zip(*results.items(), *diagnostics.items())))
         )
-        texts = [",".join(header) + "\n", *_table_rows(columns, _fmt, ",", "{}\n", "")]
+        texts = [",".join(header) + "\n",
+                 *_table_rows(columns, _fmt, ",", "{}\n", "", header if table else None)]
     if not args.out:
         sys.stdout.writelines(texts)
         return

@@ -198,21 +198,21 @@ def _lab_hamiltonian(b, theta, phi_l, phi_r, t_lr, s) -> np.ndarray:
 
     No range validation: geometry routines probe theta slightly outside
     [0, pi] when centering finite-difference cells at the poles.
+    The trigonometric factors are taken on theta's and s's own shapes and
+    broadcast only where they enter ``h``.
     """
     theta = np.asarray(theta, dtype=float)
     s = np.asarray(s, dtype=float)
     shape = np.broadcast_shapes(theta.shape, s.shape)
-    th = np.broadcast_to(theta, shape)
-    ph = np.broadcast_to(s, shape)
     h = np.zeros(shape + (4, 4), dtype=complex)
-    dz = 0.5 * b * np.cos(th)
+    dz = 0.5 * b * np.cos(theta)
     h[..., 0, 0] = dz
     h[..., 1, 1] = -dz
     h[..., 2, 2] = dz
     h[..., 3, 3] = -dz
-    flip = 0.5 * b * np.sin(th)
-    left = flip * np.exp(-1j * (ph + phi_l))
-    right = flip * np.exp(-1j * (ph + phi_r))
+    flip = 0.5 * b * np.sin(theta)
+    left = flip * np.exp(-1j * (s + phi_l))
+    right = flip * np.exp(-1j * (s + phi_r))
     h[..., 0, 1] = left
     h[..., 1, 0] = np.conj(left)
     h[..., 2, 3] = right

@@ -215,6 +215,21 @@ class TestErrors:
         else:
             assert out == "" and json.loads(err)["error"]["name"] == name
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_cell_is_named(self, capsys, fmt):
+        # omega / b overflows from the second cell on: a trivial sector whose
+        # boundary distance is inf, so the document is refused at that cell
+        code, out, err = run_cli(
+            capsys, "--format", fmt, "phase-diagram", "--omega-max", "1.7e308",
+            "--n-omega", "3", "--n-b", "3", "--b-max", "1",
+        )
+        assert code == 3 and out == ""
+        record = json.loads(err)["error"]
+        assert record["name"] == "NonConverged"
+        assert record["message"] == (
+            "the result holds the non-finite value inf in column 'boundary_distance' at row 1"
+        )
+
     def test_overflowing_closed_forms_fail_berry_rows(self, capsys):
         # mu = omega / b overflows; the bands stay resolved, so labeling refuses
         code, out, _ = run_cli(
@@ -668,7 +683,16 @@ def documents(draw):
 
 
 def _row_rule(fmt, results, rows, diagnostics) -> str:
-    """A document as rendered before tables were columns: value by value, row by row."""
+    """A document as rendered before tables were columns: value by value, row by row.
+
+    A table's first non-finite cell, in row order, is refused by its column
+    name and row number."""
+    for r, row in enumerate(rows or []):
+        for name, value in zip(results[0], row):
+            try:
+                cli._json_dumps(value)
+            except NonConverged as exc:
+                raise NonConverged(f"{exc} in column {name!r} at row {r}") from None
     if fmt == "json":
         doc = {
             "schema_version": cli.SCHEMA_VERSION,

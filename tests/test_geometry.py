@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drivenspin import (
@@ -574,6 +574,11 @@ _DRIVE_POINTS = st.builds(
     t_lr=st.floats(0.0, 2.0),
 )
 _REGIMES = st.sampled_from(["adiabatic", "nonadiabatic"])
+#: A gapped drive point of _DRIVE_POINTS on each branch, by phi_l - phi_r.
+_RESOLVED = {
+    phi: DriveConfig(b=2.0, theta=0.0, phi_r=-phi, omega=0.7, t_lr=0.6)
+    for phi in (0.0, math.pi)
+}
 _PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
@@ -612,6 +617,11 @@ def test_chern_is_the_pole_sz_difference():
 
     @_PROPERTY
     @given(_DRIVE_POINTS, _REGIMES)
+    # a resolved grid for each regime and branch, whatever the draws
+    @example(_RESOLVED[0.0], "adiabatic")
+    @example(_RESOLVED[0.0], "nonadiabatic")
+    @example(_RESOLVED[math.pi], "adiabatic")
+    @example(_RESOLVED[math.pi], "nonadiabatic")
     def check(cfg, regime):
         try:
             report = chern_lattice(cfg, 20, 20, regime)
@@ -640,6 +650,11 @@ def test_nonadiabatic_chern_ignores_n_phi():
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(_DRIVE_POINTS, st.integers(20, 41))
+    # a resolved grid for each n_theta parity and branch, whatever the draws
+    @example(_RESOLVED[0.0], 20)
+    @example(_RESOLVED[0.0], 21)
+    @example(_RESOLVED[math.pi], 20)
+    @example(_RESOLVED[math.pi], 21)
     def check(cfg, n_theta):
         outcomes = []
         for n_phi in (20, 33, 100):
