@@ -46,22 +46,22 @@ SCHEMA_VERSION = 1
 #: memory or run for hours, so they are refused before any computation.
 MAX_GRID_POINTS = 2**20
 
-#: (flags, their attributes, points per unit, --method) of each grid a
+#: (flags, their attributes, points per unit, condition) of each grid a
 #: command can request.  An entry applies when the command has all its
-#: attributes and, where the entry names a method, that --method.
+#: attributes and meets its (attribute, value) condition, if it has one.
 _GRIDS = (
     ("--theta-steps", ("theta_steps",), 1, None),
-    # berry: one Wilson loop per theta row, each up to 2 * --n-steps points
-    ("--theta-steps * 2 * --n-steps", ("theta_steps", "n_steps"), 2, None),
+    # adiabatic berry: one Wilson loop per theta row, each up to 2 * --n-steps points
+    ("--theta-steps * 2 * --n-steps", ("theta_steps", "n_steps"), 2, ("regime", "adiabatic")),
     ("--n-theta * --n-phi", ("n_theta", "n_phi"), 1, None),
     ("--rk4-steps", ("rk4_steps",), 1, None),
-    ("--n-b * --n-omega", ("n_b", "n_omega"), 1, "closed"),
+    ("--n-b * --n-omega", ("n_b", "n_omega"), 1, ("method", "closed")),
     # a lattice diagram computes one Chern grid per cell
     (
         f"--n-b * --n-omega * {phasescan.DEFAULT_LATTICE_RESOLUTION}**2",
         ("n_b", "n_omega"),
         phasescan.DEFAULT_LATTICE_RESOLUTION**2,
-        "lattice",
+        ("method", "lattice"),
     ),
 )
 
@@ -272,36 +272,33 @@ def cmd_berry(args) -> tuple[tuple, dict]:
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
     cfg0 = _config_from(args)
     cfg0.phase_branch()  # a bad branch fails the command; row errors are recorded
+    adiabatic = args.regime == "adiabatic"
     sweep = None
-    if args.regime == "nonadiabatic":
+    if not adiabatic:
         # one labelled pass serves all rows; if a row fails, each row is solved alone
         with suppress(DrivenSpinError):
             sweep, _ = geometry._rotating_band_vectors(cfg0, thetas)
     rows = []
     worst = 0.0
-    failed = 0
     for i, th in enumerate(thetas):
-        row = [float(th)]
-        err = None
-        if args.regime == "nonadiabatic":
-            cfg = replace(cfg0, theta=float(th))
-            try:  # the sweep's row, or one labelled solve of this row for all four bands
-                vectors = (sweep[i] if sweep is not None else
-                           geometry._rotating_band_vectors(cfg, np.array([cfg.theta]))[0][0])
-            except DrivenSpinError as exc:
-                rows.append(row + [None] * 3 * len(LABELS) + [type(exc).__name__])
-                failed += 1
-                continue
+        cfg = replace(cfg0, theta=float(th))
+        row, err = [cfg.theta], None
+        try:  # one labelled solve of this row serves all four bands
+            if adiabatic:
+                solved = geometry._wilson_band_phases(cfg, args.n_steps)
+            else:  # the sweep's row, or this row solved alone
+                solved = (sweep[i] if sweep is not None else
+                          geometry._rotating_band_vectors(cfg, np.array([cfg.theta]))[0][0])
+        except DrivenSpinError as exc:
+            rows.append(row + [None] * 3 * len(LABELS) + [type(exc).__name__])
+            continue
         for k, lab in enumerate(LABELS):
             try:
-                if args.regime == "adiabatic":
-                    numeric = geometry.berry_phase_wilson(
-                        cfg0, float(th), lab, n_steps=args.n_steps
-                    )
-                    closed = geometry.berry_phase_closed(cfg0, float(th), lab)
+                if adiabatic:
+                    numeric = geometry._converged(*solved[lab])
+                    closed = geometry.berry_phase_closed(cfg, cfg.theta, lab)
                 else:
-                    sz = geometry._sz_total(vectors[:, k])
-                    numeric = geometry.fold_phase(2.0 * math.pi * sz)
+                    numeric = geometry.fold_phase(2.0 * math.pi * geometry._sz_total(solved[:, k]))
                     closed = geometry.aa_phase_closed(cfg, lab)
                 diff = geometry.circular_distance(numeric, closed)
                 worst = max(worst, diff)
@@ -309,14 +306,13 @@ def cmd_berry(args) -> tuple[tuple, dict]:
             except DrivenSpinError as exc:
                 err = type(exc).__name__
                 row += [None, None, None]
-        row.append(err)
-        failed += err is not None
-        rows.append(row)
+        rows.append(row + [err])
     header = ["theta"]
     for lab in map(str, LABELS):
         header += [f"num_{lab}", f"closed_{lab}", f"circdiff_{lab}"]
     header.append("error")
     columns = list(map(list, zip(*rows)))
+    failed = len(rows) - columns[-1].count(None)
     return (header, columns), {"max_circular_difference": worst, "failed_rows": failed}
 
 
@@ -511,9 +507,9 @@ def main(argv=None) -> int:
             parser.error(
                 f"argument --theta-steps: must be at least 1, got {args.theta_steps}"
             )
-        for flags, keys, unit, method in _GRIDS:
+        for flags, keys, unit, when in _GRIDS:
             applies = all(hasattr(args, k) for k in keys)
-            if applies and method in (None, getattr(args, "method", None)):
+            if applies and (when is None or getattr(args, when[0], None) == when[1]):
                 points = unit * math.prod(getattr(args, k) for k in keys)
                 if points > MAX_GRID_POINTS:
                     parser.error(

@@ -268,14 +268,17 @@ def _rotating_band_states(cfg, thetas, phis):
 
 @lru_cache(maxsize=128)
 def _wilson_band_phases(cfg: DriveConfig, n_steps: int):
-    """Richardson-extrapolated Wilson-loop phases of all four bands.
+    """Richardson-extrapolated Wilson-loop phases of all four bands at cfg.theta.
 
     The raw loop converges as O(1/n^2); phases are evaluated on nested
     grids of n_steps/2, n_steps and 2*n_steps points (sharing one
     diagonalization pass over the finest grid) and extrapolated pairwise.
     Returns {label: (phase, convergence_gap)} where convergence_gap is the
-    circular distance between the two extrapolated values.
+    circular distance between the two extrapolated values, which
+    ``_converged`` checks.  One call solves the loop once for all four bands.
     """
+    if n_steps < 64 or n_steps % 2:
+        raise ValueError(f"n_steps must be even and >= 64, got {n_steps}")
     n_fine = 2 * n_steps
     phis = 2.0 * math.pi * np.arange(n_fine) / n_fine
     states, _ = _adiabatic_band_states(cfg, np.array([cfg.theta]), phis)
@@ -309,7 +312,8 @@ def berry_phase_wilson(
 
     The loop product of instantaneous-eigenstate overlaps is evaluated for
     varphi from 0 to 2 pi; the result is gauge invariant and needs no
-    phase-smoothing of the eigenvectors.
+    phase-smoothing of the eigenvectors.  It is one band of the cached
+    ``_wilson_band_phases``, so the other bands of a solved loop are free.
 
     Parameters
     ----------
@@ -330,15 +334,15 @@ def berry_phase_wilson(
         If doubling the resolution would still move the extrapolated
         result by more than WILSON_CONV_TOL.
     """
-    if n_steps < 64 or n_steps % 2:
-        raise ValueError(f"n_steps must be even and >= 64, got {n_steps}")
-    phases = _wilson_band_phases(replace(cfg, theta=float(theta)), int(n_steps))
-    value, gap = phases[StateLabel(*label)]
+    phases = _wilson_band_phases(replace(cfg, theta=float(theta)), n_steps)
+    return _converged(*phases[StateLabel(*label)])
+
+
+def _converged(value: float, gap: float) -> float:
+    """A band's Wilson-loop phase, or NonConverged if its gap exceeds WILSON_CONV_TOL."""
     if gap > WILSON_CONV_TOL:
-        raise NonConverged(
-            f"Wilson loop changed by {gap:.2e} under grid doubling "
-            f"(tolerance {WILSON_CONV_TOL:.0e}); increase n_steps"
-        )
+        raise NonConverged(f"Wilson loop changed by {gap:.2e} under grid doubling "
+                           f"(tolerance {WILSON_CONV_TOL:.0e}); increase n_steps")
     return value
 
 

@@ -21,6 +21,8 @@ from drivenspin import (
     DrivenSpinError,
     NonConverged,
     aa_phase_closed,
+    berry_phase_closed,
+    berry_phase_wilson,
     circular_distance,
     cli,
     fold_phase,
@@ -311,6 +313,8 @@ class TestErrors:
             ("phase-diagram --n-b {} --n-omega {}", "--n-b * --n-omega", (1024, 1024)),
             ("berry --b 2 --theta-steps {} --n-steps 512", "--theta-steps * 2 * --n-steps",
              (MAX_GRID_POINTS // 1024,)),
+            ("berry --b 2 --regime nonadiabatic --theta-steps {}", "--theta-steps",
+             (MAX_GRID_POINTS,)),
             # 104 cells of 100x100 lattice sites are 1,040,000 points
             ("phase-diagram --method lattice --n-b {} --n-omega 1",
              "--n-b * --n-omega * 100**2", (104,)),
@@ -352,6 +356,23 @@ class TestErrors:
         assert code == 2 and out == ""
         record = json.loads(err.splitlines()[-1])["error"]
         assert record["name"] == "ValidationError"
+        assert "argument --theta-steps * 2 * --n-steps:" in record["message"]
+
+    def test_berry_product_cap_is_adiabatic_only(self, capsys, monkeypatch):
+        # a nonadiabatic sweep never reads --n-steps; --theta-steps alone caps it
+        class Reached(Exception):
+            pass
+
+        def handler(args):
+            raise Reached
+
+        monkeypatch.setattr(cli, "cmd_berry", handler)
+        drive = "berry --b 2 --t-lr 1 --phi pi --omega 1.5 --theta-steps {} --regime {}"
+        with pytest.raises(Reached):
+            main(drive.format(2000, "nonadiabatic").split())
+        code, out, err = run_cli(capsys, *drive.format(1025, "adiabatic").split())
+        assert code == 2 and out == ""
+        record = json.loads(err.splitlines()[-1])["error"]
         assert "argument --theta-steps * 2 * --n-steps:" in record["message"]
 
     @pytest.mark.parametrize("target", ["no-such-dir/out.json", "a-directory"])
@@ -477,7 +498,9 @@ class TestBerry:
         assert all(None not in row[1:-1] for row in rows[:2] + rows[3:])
 
 
-def test_berry_nonadiabatic_diagonalizes_once(monkeypatch, capsys):
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the stacks given to geometry.eigh_stack, in call order."""
     calls = []
     eigh_stack = geometry.eigh_stack
 
@@ -486,20 +509,45 @@ def test_berry_nonadiabatic_diagonalizes_once(monkeypatch, capsys):
         return eigh_stack(h)
 
     monkeypatch.setattr(geometry, "eigh_stack", counting_eigh_stack)
+    return calls
+
+
+def test_berry_nonadiabatic_diagonalizes_once(eigh_calls, capsys):
+    calls = eigh_calls
     argv = "berry --b 2 --t-lr 1 --phi pi --omega 1.5 --regime nonadiabatic"
     assert main(argv.split()) == 0
     capsys.readouterr()
     assert calls == [(50, 4, 4)]
 
 
-def _per_band_berry_row(cfg0, theta):
-    """A nonadiabatic berry row from one labelled eigensolve per band."""
+def test_berry_adiabatic_solves_each_row_once(eigh_calls, capsys):
+    """One labelled Wilson-loop solve per adiabatic row serves its four bands,
+    also when the row fails and no result is cached."""
+    geometry._wilson_band_phases.cache_clear()
+    assert main("berry --b 2 --t-lr 0.6 --phi pi --theta-steps 7 --n-steps 128".split()) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["failed_rows"] == 1
+    assert eigh_calls == [(1, 256, 4, 4)] * 7
+    eigh_calls.clear()
+    # decoupled sites: every row is a DegenerateGap
+    assert main("berry --b 2 --t-lr 0 --theta-steps 3 --n-steps 128".split()) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+    assert [row[-1] for row in rows] == ["DegenerateGap"] * 3
+    assert eigh_calls == [(1, 256, 4, 4)] * 3
+
+
+def _per_band_berry_row(cfg0, theta, n_steps=None):
+    """A berry row from one labelled eigensolve per band: nonadiabatic, or
+    adiabatic from per-band Wilson loops of resolution n_steps."""
     cfg = replace(cfg0, theta=theta)
     row, err = [theta], None
     for lab in LABELS:
         try:
-            numeric = fold_phase(2.0 * math.pi * rotating_sz_expectation(cfg, lab))
-            closed = aa_phase_closed(cfg, lab)
+            if n_steps is None:
+                numeric = fold_phase(2.0 * math.pi * rotating_sz_expectation(cfg, lab))
+                closed = aa_phase_closed(cfg, lab)
+            else:
+                numeric = berry_phase_wilson(cfg, theta, lab, n_steps=n_steps)
+                closed = berry_phase_closed(cfg, theta, lab)
             row += [numeric, closed, circular_distance(numeric, closed)]
         except DrivenSpinError as exc:
             err = type(exc).__name__
@@ -540,17 +588,10 @@ def test_berry_nonadiabatic_matches_per_band_route(sweep):
     assert rows == [_per_band_berry_row(drive, float(th)) for th in thetas]
 
 
-def test_berry_failing_sweep_solves_each_row_once(monkeypatch, capsys):
+def test_berry_failing_sweep_solves_each_row_once(eigh_calls, capsys):
     """After the sweep fails, one labelled solve per row serves its four
     bands, and the CSV is byte for byte the per-band route's."""
-    calls = []
-    eigh_stack = geometry.eigh_stack
-
-    def counting_eigh_stack(h):
-        calls.append(np.shape(h))
-        return eigh_stack(h)
-
-    monkeypatch.setattr(geometry, "eigh_stack", counting_eigh_stack)
+    calls = eigh_calls
     argv = (
         "--format csv berry --b 2 --omega 1.5 --t-lr 1.25 --regime nonadiabatic"
         " --theta-min 0 --theta-max pi --theta-steps 5"
@@ -563,6 +604,47 @@ def test_berry_failing_sweep_solves_each_row_once(monkeypatch, capsys):
     assert [row[-1] for row in rows] == [None, None, "DegenerateGap", None, None]
     lines = out.splitlines()[:1] + [",".join(map(cli._fmt, row)) for row in rows]
     assert out == "\n".join(lines) + "\n"
+
+
+@st.composite
+def adiabatic_sweeps(draw):
+    """(argv, drive, thetas) of an adiabatic berry sweep at --n-steps 64; draws
+    include decoupled sites (t_lr = 0) and lam = 1 (t_lr = b/2), both failing."""
+    b = draw(st.floats(0.3, 5.0))
+    t_lr = draw(st.one_of(st.floats(0.0, 3.0), st.just(0.0), st.just(b / 2)))
+    phi = draw(st.sampled_from([0.0, math.pi]))
+    lo = draw(st.sampled_from([0.0, 0.02, math.pi / 2]))
+    hi = draw(st.sampled_from([math.pi, 3.1, math.pi / 2]))
+    n = draw(st.integers(1, 5))
+    argv = [
+        "berry", "--b", repr(b), "--t-lr", repr(t_lr), "--phi", repr(phi),
+        "--theta-steps", str(n), "--theta-min", repr(lo), "--theta-max", repr(hi),
+        "--n-steps", "64",
+    ]
+    drive = DriveConfig(b=b, theta=0.0, phi_r=-phi, t_lr=t_lr)
+    return argv, drive, np.linspace(lo, hi, n)
+
+
+def test_berry_adiabatic_matches_per_band_route():
+    """The one-solve-per-row table equals per-band Wilson loops, number for
+    number, with the same error name in each failing row."""
+    failing = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(adiabatic_sweeps())
+    def check(sweep):
+        argv, drive, thetas = sweep
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        rows = json.loads(out.getvalue())["results"]["rows"]
+        # else the reference would read the rows the command cached
+        geometry._wilson_band_phases.cache_clear()
+        assert rows == [_per_band_berry_row(drive, float(th), 64) for th in thetas]
+        failing.extend(row[-1] for row in rows if row[-1] is not None)
+
+    check()
+    assert len(failing) >= 10
 
 
 class TestChern:
