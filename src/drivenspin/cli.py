@@ -29,13 +29,7 @@ import numpy as np
 from . import geometry, phasescan
 from .errors import DrivenSpinError, NonConverged
 from .evolution import CyclicSystem, propagator_rk4
-from .qmodel import (
-    LABELS,
-    DriveConfig,
-    StateLabel,
-    _lab_hamiltonian,
-    _rotating_hamiltonian,
-)
+from .qmodel import LABELS, DriveConfig, StateLabel, _rotating_hamiltonian
 from .spectra import _closed_energy_table, band_order, eigh_stack
 
 SCHEMA_VERSION = 1
@@ -226,7 +220,7 @@ def _emit(args, results, diagnostics: dict) -> None:
 
 def _config_from(args) -> DriveConfig:
     """DriveConfig from CLI flags; --phi sets phi_l = 0, phi_r = -phi."""
-    return DriveConfig(
+    cfg = DriveConfig(
         b=args.b,
         theta=getattr(args, "theta", 0.0),
         phi_l=0.0,
@@ -234,6 +228,8 @@ def _config_from(args) -> DriveConfig:
         omega=args.omega,
         t_lr=args.t_lr,
     )
+    cfg.phase_branch()  # an off-branch --phi fails here, before any computation
+    return cfg
 
 
 def _label_columns(stem: str) -> list[str]:
@@ -248,15 +244,11 @@ def _label_columns(stem: str) -> list[str]:
 def cmd_spectrum(args) -> tuple[tuple, dict]:
     """Energy (or quasienergy) curves vs theta, numerical and closed form."""
     thetas = np.linspace(0.0, math.pi, args.theta_steps)
-    cfg0 = _config_from(args)
-    closed = _closed_energy_table(cfg0, args.regime, thetas)  # (n, 4) in LABELS order
-    if args.regime == "adiabatic":
-        hs = _lab_hamiltonian(cfg0.b, thetas, cfg0.phi_l, cfg0.phi_r, cfg0.t_lr, 0.0)
-    else:
-        hs = _rotating_hamiltonian(
-            cfg0.b, thetas, cfg0.phi_l, cfg0.phi_r, cfg0.t_lr, cfg0.omega
-        )
-    values, _ = eigh_stack(hs)
+    cfg = _config_from(args)
+    closed = _closed_energy_table(cfg, args.regime, thetas)  # (n, 4) in LABELS order
+    # the adiabatic Hamiltonian is the rotating frame of a drive at rest
+    rotating = cfg if args.regime == "rotating" else replace(cfg, omega=0.0)
+    values, _ = eigh_stack(_rotating_hamiltonian(rotating, thetas))
     # Energy tables need no eigenvectors, so rows are matched by sort order
     # of the closed forms; at band crossings the tied values are equal and
     # the assignment is immaterial.
@@ -271,7 +263,6 @@ def cmd_berry(args) -> tuple[tuple, dict]:
     """Geometric-phase curves vs theta: numerical route, closed form, difference."""
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
     cfg0 = _config_from(args)
-    cfg0.phase_branch()  # a bad branch fails the command; row errors are recorded
     adiabatic = args.regime == "adiabatic"
     sweep = None
     if not adiabatic:

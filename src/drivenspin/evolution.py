@@ -123,9 +123,7 @@ class CyclicSystem:
         coeff = es.vectors.conj().T @ vec
         rot_frame = es.vectors @ (np.exp(-1j * np.outer(times, es.values)) * coeff).T
         psi = np.exp(-1j * np.outer(cfg.omega * times, SZ_TOTAL_DIAG)) * rot_frame.T
-        hs = _lab_hamiltonian(
-            cfg.b, cfg.theta, cfg.phi_l, cfg.phi_r, cfg.t_lr, cfg.omega * times
-        )
+        hs = _lab_hamiltonian(cfg, s=cfg.omega * times)
         expval = np.real(np.einsum("ti,tij,tj->t", np.conj(psi), hs, psi))
         weights = np.ones(n + 1)
         weights[1:-1:2] = 4.0
@@ -218,9 +216,7 @@ def propagator_rk4(
         for start in range(0, n, _RK4_BLOCK):
             stop = min(start + _RK4_BLOCK, n)
             times = 0.5 * dt * np.arange(2 * start, 2 * stop + 1)
-            hs = _lab_hamiltonian(
-                cfg.b, cfg.theta, cfg.phi_l, cfg.phi_r, cfg.t_lr, cfg.omega * times
-            )
+            hs = _lab_hamiltonian(cfg, s=cfg.omega * times)
             h0, h1, h2 = hs[0:-1:2], hs[1::2], hs[2::2]
             k1 = -1j * h0
             k2 = _rk4_stage(h1, k1, 0.5 * dt)

@@ -220,9 +220,7 @@ def _adiabatic_band_states(cfg, thetas, phis):
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    h = _lab_hamiltonian(
-        cfg.b, thetas[:, None], cfg.phi_l, cfg.phi_r, cfg.t_lr, phis[None, :]
-    )
+    h = _lab_hamiltonian(cfg, thetas[:, None], phis[None, :])
     values, vectors = eigh_stack(h)
     order, min_gap = _label_bands(
         cfg,
@@ -243,7 +241,7 @@ def _rotating_band_vectors(cfg, thetas):
     Returns (vectors, min_gap) with vectors shaped (n_theta, 4, 4 labels).
     """
     thetas = np.asarray(thetas, dtype=float)
-    h = _rotating_hamiltonian(cfg.b, thetas, cfg.phi_l, cfg.phi_r, cfg.t_lr, cfg.omega)
+    h = _rotating_hamiltonian(cfg, thetas)
     values, vectors = eigh_stack(h)
     order, min_gap = _label_bands(
         cfg, "rotating", values, thetas, lambda ix: f"theta={thetas[ix[0]]:.6f}"

@@ -9,7 +9,9 @@ The drive is a circularly polarized field parametrized on a sphere: the
 static part is B cos(theta) along z, the rotating part B sin(theta) in the
 xy plane with site-dependent phase s + phi_i.  The phase argument ``s``
 stands for Omega*t, so one builder serves both the physical time evolution
-(s = Omega*t) and the adiabatic parameter loop (s = varphi).
+(s = Omega*t) and the adiabatic parameter loop (s = varphi).  Both builders
+read the drive from one ``DriveConfig``, a theta grid aside; the frame
+co-rotating at cfg.omega is, at omega = 0, the adiabatic Hamiltonian.
 """
 
 from __future__ import annotations
@@ -193,42 +195,42 @@ def spin_site_operators() -> dict[str, np.ndarray]:
     return {name: op.copy() for name, op in _OPS.items()}
 
 
-def _lab_hamiltonian(b, theta, phi_l, phi_r, t_lr, s) -> np.ndarray:
-    """Lab-frame Hamiltonian, broadcast over ``theta`` and ``s``.
+def _lab_hamiltonian(cfg: DriveConfig, theta=None, s=0.0) -> np.ndarray:
+    """Lab-frame Hamiltonian of drive ``cfg``, broadcast over ``theta`` and ``s``.
 
-    No range validation: geometry routines probe theta slightly outside
-    [0, pi] when centering finite-difference cells at the poles.
-    The trigonometric factors are taken on theta's and s's own shapes and
-    broadcast only where they enter ``h``.
+    ``theta``, cfg.theta if None, may be a grid and is not validated:
+    geometry routines probe theta slightly outside [0, pi] when centering
+    cells at the poles.  The trigonometric factors are taken on theta's and
+    s's own shapes and broadcast only where they enter ``h``.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = np.asarray(cfg.theta if theta is None else theta, dtype=float)
     s = np.asarray(s, dtype=float)
     shape = np.broadcast_shapes(theta.shape, s.shape)
     h = np.zeros(shape + (4, 4), dtype=complex)
-    dz = 0.5 * b * np.cos(theta)
+    dz = 0.5 * cfg.b * np.cos(theta)
     h[..., 0, 0] = dz
     h[..., 1, 1] = -dz
     h[..., 2, 2] = dz
     h[..., 3, 3] = -dz
-    flip = 0.5 * b * np.sin(theta)
-    left = flip * np.exp(-1j * (s + phi_l))
-    right = flip * np.exp(-1j * (s + phi_r))
+    flip = 0.5 * cfg.b * np.sin(theta)
+    left = flip * np.exp(-1j * (s + cfg.phi_l))
+    right = flip * np.exp(-1j * (s + cfg.phi_r))
     h[..., 0, 1] = left
     h[..., 1, 0] = np.conj(left)
     h[..., 2, 3] = right
     h[..., 3, 2] = np.conj(right)
-    h[..., 0, 2] = t_lr
-    h[..., 2, 0] = t_lr
-    h[..., 1, 3] = t_lr
-    h[..., 3, 1] = t_lr
+    h[..., 0, 2] = cfg.t_lr
+    h[..., 2, 0] = cfg.t_lr
+    h[..., 1, 3] = cfg.t_lr
+    h[..., 3, 1] = cfg.t_lr
     return h
 
 
-def _rotating_hamiltonian(b, theta, phi_l, phi_r, t_lr, omega) -> np.ndarray:
-    """Co-rotating-frame Hamiltonian, broadcast over ``theta``."""
-    theta = np.asarray(theta, dtype=float)
-    h = _lab_hamiltonian(b, theta, phi_l, phi_r, t_lr, 0.0)
-    shift = 0.5 * omega
+def _rotating_hamiltonian(cfg: DriveConfig, theta=None) -> np.ndarray:
+    """Hamiltonian in the frame co-rotating at cfg.omega, broadcast over ``theta``:
+    the lab frame at s = 0 less omega Sz_total, so at omega = 0 the adiabatic one."""
+    h = _lab_hamiltonian(cfg, theta)
+    shift = 0.5 * cfg.omega
     h[..., 0, 0] -= shift
     h[..., 1, 1] += shift
     h[..., 2, 2] -= shift
@@ -244,7 +246,7 @@ def build_hamiltonian(cfg: DriveConfig, s: float) -> np.ndarray:
     """
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
-    return _lab_hamiltonian(cfg.b, cfg.theta, cfg.phi_l, cfg.phi_r, cfg.t_lr, float(s))
+    return _lab_hamiltonian(cfg, s=float(s))
 
 
 def build_rotating_hamiltonian(cfg: DriveConfig) -> np.ndarray:
@@ -253,9 +255,7 @@ def build_rotating_hamiltonian(cfg: DriveConfig) -> np.ndarray:
     Equals ``build_hamiltonian(cfg, 0)`` with the static field reduced by
     omega on the Sz parts; for omega = 0 the two builders coincide.
     """
-    return _rotating_hamiltonian(
-        cfg.b, cfg.theta, cfg.phi_l, cfg.phi_r, cfg.t_lr, cfg.omega
-    )
+    return _rotating_hamiltonian(cfg)
 
 
 def rotation_about_z(angle: float) -> np.ndarray:

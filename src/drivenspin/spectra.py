@@ -138,12 +138,12 @@ def _require_regime(regime: str) -> None:
 
 
 def _sector_parameters(cfg: DriveConfig, regime: str) -> tuple[float, float]:
-    """Sector parameters (x_+, x_-) of the m2 = +1 and m2 = -1 bands."""
+    """Sector parameters (x_+, x_-) of the m2 = +1 and m2 = -1 bands:
+    ``_sector_ratios`` at cfg.omega, or at omega = 0 in the adiabatic regime."""
     in_phase = cfg.phase_branch() == 0.0
-    if regime == "nonadiabatic":
-        return _sector_ratios(cfg.b, cfg.omega, cfg.t_lr, in_phase)
     _require_regime(regime)
-    return (0.0, 0.0) if in_phase else (cfg.lam, -cfg.lam)
+    omega = cfg.omega if regime == "nonadiabatic" else 0.0
+    return _sector_ratios(cfg.b, omega, cfg.t_lr, in_phase)
 
 
 def _closed_energy_table(cfg: DriveConfig, regime: str, theta=None) -> np.ndarray:

@@ -42,7 +42,7 @@ def test_criterion_1_spectra_closed_vs_numeric():
     for phi in (0.0, math.pi):
         for lam in lams:
             cfg = _cfg(phi=phi, t_lr=0.5 * B * lam)
-            h = _lab_hamiltonian(cfg.b, thetas, cfg.phi_l, cfg.phi_r, cfg.t_lr, 0.37)
+            h = _lab_hamiltonian(cfg, thetas, 0.37)
             values, _ = eigh_stack(h)
             closed = np.sort(_closed_energy_table(cfg, "adiabatic", thetas), axis=-1)
             worst_ad = max(worst_ad, float(np.max(np.abs(values - closed))))
@@ -56,9 +56,7 @@ def test_criterion_1_spectra_closed_vs_numeric():
         for mu in mus:
             for lam in lams:
                 cfg = _cfg(phi=phi, omega=B * mu, t_lr=0.5 * B * lam)
-                h = _rotating_hamiltonian(
-                    cfg.b, thetas, cfg.phi_l, cfg.phi_r, cfg.t_lr, cfg.omega
-                )
+                h = _rotating_hamiltonian(cfg, thetas)
                 values, _ = eigh_stack(h)
                 closed = np.sort(_closed_energy_table(cfg, "rotating", thetas), axis=-1)
                 worst_rot = max(worst_rot, float(np.max(np.abs(values - closed))))

@@ -98,12 +98,14 @@ class TestSpectrum:
         ] * 0 + np.array([-2.0, 0.0, 0.0, 2.0]), atol=1e-12)
 
     def test_validation_error_exit_2(self, capsys):
-        code, _, err = run_cli(
-            capsys, "evolve", "--b", "2", "--theta", "4.0", "--omega", "1"
-        )
-        assert code == 2
-        record = json.loads(err)
-        assert record["error"]["name"] == "ValidationError"
+        for argv, message in (
+            ("evolve --b 2 --theta 4.0 --omega 1", "theta must lie in [0, pi], got 4.0"),
+            ("phase-diagram --b-min -1 --b-max 1", "ranges must be non-negative"),
+        ):
+            code, _, err = run_cli(capsys, *argv.split())
+            assert code == 2
+            record = json.loads(err)
+            assert record["error"] == {"name": "ValidationError", "message": message}
 
 
 class TestErrors:
@@ -117,12 +119,18 @@ class TestErrors:
         assert record["error"]["name"] == "DegenerateGap"
 
     def test_unsupported_phase(self, capsys):
-        code, _, err = run_cli(capsys, "spectrum", "--b", "2", "--phi", "0.3")
-        assert code == 3
-        assert json.loads(err)["error"]["name"] == "UnsupportedPhase"
-        code, _, err = run_cli(capsys, "berry", "--b", "2", "--phi", "pi/2")
-        assert code == 3
-        assert json.loads(err)["error"]["name"] == "UnsupportedPhase"
+        # refused before computing: at the default --t-lr 0 the bands are
+        # degenerate, and that failure must not be named instead
+        for argv in (
+            "spectrum --b 2 --phi 0.3",
+            "berry --b 2 --phi pi/2",
+            "chern --b 2 --phi 0.3",
+            "chern --b 2 --phi 0.3 --omega 1.5 --regime nonadiabatic",
+            "evolve --b 2 --theta 1 --omega 1.5 --phi 0.3",
+        ):
+            code, out, err = run_cli(capsys, *argv.split())
+            assert (code, out) == (3, ""), argv
+            assert json.loads(err)["error"]["name"] == "UnsupportedPhase", argv
 
     @pytest.mark.filterwarnings("error")
     def test_rk4_overflow_is_computational_failure(self, capsys):

@@ -113,9 +113,7 @@ def single_pass_rk4(cfg, t, n):
     """propagator_rk4 with every half-step Hamiltonian and transfer matrix at once."""
     dt = float(t) / n
     times = 0.5 * dt * np.arange(2 * n + 1)
-    hs = _lab_hamiltonian(
-        cfg.b, cfg.theta, cfg.phi_l, cfg.phi_r, cfg.t_lr, cfg.omega * times
-    )
+    hs = _lab_hamiltonian(cfg, s=cfg.omega * times)
     h0, h1, h2 = hs[0:-1:2], hs[1::2], hs[2::2]
     k1 = -1j * h0
     k2 = -1j * (h1 + 0.5 * dt * np.matmul(h1, k1))

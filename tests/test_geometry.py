@@ -22,9 +22,13 @@ from drivenspin import (
     chern_closed,
     chern_lattice,
     circular_distance,
+    classify_point,
     curvature_closed,
     curvature_numeric,
+    dynamical_phase_quadrature,
+    eigensystem,
     fold_phase,
+    label_eigenstates,
     lattice_flux,
     propagator_exact,
     propagator_rk4,
@@ -555,6 +559,12 @@ class TestGaugeInvariance:
         gauged = band * np.exp(1j * rng.uniform(0, 2 * math.pi, size=(24, 24, 1)))
         assert abs(lattice_flux(gauged) - base) < 1e-12
 
+    def test_orthogonal_rows_are_a_vanishing_link(self):
+        states = np.zeros((2, 3, 4), dtype=complex)
+        states[0, :, 0] = states[1, :, 1] = 1.0
+        with pytest.raises(NonConverged, match="vanishing link overlap"):
+            lattice_flux(states)
+
     def test_flux_quantization(self):
         cfg = anti_phase(omega=1.5, t_lr=1.0)
         thetas = np.linspace(0.0, math.pi, 40)
@@ -711,10 +721,18 @@ def _curvature_cell(h):
         (lambda: _curvature_cell(math.inf), "h"),
         (lambda: lattice_flux(np.ones((1, 4, 4), dtype=complex)), "states"),
         (lambda: lattice_flux(np.ones((4, 0, 4), dtype=complex)), "states"),
+        (lambda: _DRIVEN.delta(0), "m2"),
+        (lambda: dynamical_phase_quadrature(_DRIVEN, StateLabel(1, 1), n_panels=3), "n_panels"),
+        (lambda: classify_point(_DRIVEN, method="x"), "method"),
+        (lambda: chern_lattice(_DRIVEN, 20, 20, regime="rotating"), "regime"),
+        (lambda: label_eigenstates(
+            eigensystem(build_hamiltonian(_DRIVEN, 0.0)), _DRIVEN, regime="nonadiabatic"
+        ), "regime"),
     ],
     ids=[
         "rk4-inf", "rk4-nan", "exact-inf", "build-inf", "build-nan",
         "curvature-zero", "curvature-negative", "curvature-inf", "flux-one-row", "flux-no-column",
+        "delta-m2", "quadrature-odd-panels", "classify-method", "chern-regime", "label-regime",
     ],
 )
 def test_numeric_entry_points_refuse_bad_arguments(call, name):

@@ -152,10 +152,9 @@ class TestLabHamiltonian:
             cfg = random_config(rng)
             thetas = rng.uniform(0.0, math.pi, 10)
             varphis = rng.uniform(0.0, 2 * math.pi, 10)
-            args = (cfg.b, thetas, cfg.phi_l, cfg.phi_r, cfg.t_lr)
             r = np.exp(-1j * varphis[:, None] * SZ_TOTAL_DIAG)
-            rotated = r[:, :, None] * _lab_hamiltonian(*args, 0.0) * np.conj(r[:, None, :])
-            d = _lab_hamiltonian(*args, varphis) - rotated
+            rotated = r[:, :, None] * _lab_hamiltonian(cfg, thetas) * np.conj(r[:, None, :])
+            d = _lab_hamiltonian(cfg, thetas, varphis) - rotated
             assert np.max(np.abs(d)) < 1e-14 * cfg.b
 
 

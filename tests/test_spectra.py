@@ -89,6 +89,11 @@ def test_non_finite_input_named_error_no_warning(solver, bad):
         solver(h)
 
 
+def test_eigh_stack_refuses_a_stack_not_4x4():
+    with pytest.raises(ValueError, match=r"trailing shape \(4, 4\), got \(2, 3, 3\)$"):
+        eigh_stack(np.zeros((2, 3, 3)))
+
+
 class TestClosedForms:
     def test_in_phase_example(self):
         cfg = DriveConfig(b=2.0, theta=0.4, t_lr=1.0)
@@ -329,10 +334,9 @@ def test_closed_spectra_match_numeric(b, theta, t_lr, omega, phi, varphi):
     """Both Hamiltonians' eigenvalues are their closed forms to 1e-10 b, the
     lab frame at any drive phase; t_lr and omega are drawn in units of b."""
     cfg = DriveConfig(b=b, theta=theta, phi_r=-phi, omega=omega * b, t_lr=t_lr * b)
-    args = (cfg.b, cfg.theta, cfg.phi_l, cfg.phi_r, cfg.t_lr)
     for h, regime in (
-        (_lab_hamiltonian(*args, varphi), "adiabatic"),
-        (_rotating_hamiltonian(*args, cfg.omega), "rotating"),
+        (_lab_hamiltonian(cfg, s=varphi), "adiabatic"),
+        (_rotating_hamiltonian(cfg), "rotating"),
     ):
         values, _ = eigh_stack(h)
         closed = np.sort(_closed_energy_table(cfg, regime))
