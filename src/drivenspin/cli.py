@@ -270,13 +270,14 @@ def cmd_berry(args) -> tuple[tuple, dict]:
         with suppress(DrivenSpinError):
             sweep, _ = geometry._rotating_band_vectors(cfg0, thetas)
     rows = []
-    worst = 0.0
+    worst = wilson_gap = 0.0
     for i, th in enumerate(thetas):
         cfg = replace(cfg0, theta=float(th))
         row, err = [cfg.theta], None
         try:  # one labelled solve of this row serves all four bands
             if adiabatic:
                 solved = geometry._wilson_band_phases(cfg, args.n_steps)
+                wilson_gap = max(wilson_gap, *(gap for _, gap in solved.values()))
             else:  # the sweep's row, or this row solved alone
                 solved = (sweep[i] if sweep is not None else
                           geometry._rotating_band_vectors(cfg, np.array([cfg.theta]))[0][0])
@@ -304,7 +305,8 @@ def cmd_berry(args) -> tuple[tuple, dict]:
     header.append("error")
     columns = list(map(list, zip(*rows)))
     failed = len(rows) - columns[-1].count(None)
-    return (header, columns), {"max_circular_difference": worst, "failed_rows": failed}
+    extra = {"max_wilson_convergence_gap": wilson_gap} if adiabatic else {}
+    return (header, columns), {"max_circular_difference": worst, "failed_rows": failed, **extra}
 
 
 def cmd_chern(args) -> tuple[tuple, dict]:

@@ -22,7 +22,11 @@ Closed forms and lattice numerics are deliberately independent code paths:
 the lattice routines never evaluate a closed-form curvature or phase, only
 closed-form *energies* for band labeling.
 
-The family is covariant under exp(-i varphi Sz_total), so the lattice flux
+The family is covariant under U = exp(-i varphi Sz_total), H(theta,
+varphi) = U H(theta, 0) U^dag, so the adiabatic Wilson loop carries the
+labelled eigenstates at varphi = 0 around by U, as the cyclic-state family
+carries the rotating-frame ones; a loop reads no per-state phase, so this
+is the loop of states diagonalized at every point.  The lattice flux
 telescopes to the pole rows: ``chern_lattice``'s c1 of a band equals
 <Sz_total> of its labelled south-pole (theta = pi) state minus that of its
 north-pole state.  The labels come from the closed-form energies, so the
@@ -249,14 +253,20 @@ def _rotating_band_vectors(cfg, thetas):
     return np.take_along_axis(vectors, order[..., None, :], axis=-1), min_gap
 
 
-def _rotating_band_states(cfg, thetas, phis):
-    """Cyclic-state family u(theta, varphi) = exp(-i varphi Sz_total) psi(theta)."""
-    vectors, min_gap = _rotating_band_vectors(cfg, thetas)
+def _carried(vectors, thetas, phis):
+    """exp(-i varphi Sz_total) v(theta) of labelled vectors (n_theta, 4, 4 labels)
+    on the (theta, varphi) grid; pole rows keep v across the row."""
     phases = np.exp(-1j * np.asarray(phis, float)[:, None] * SZ_TOTAL_DIAG)
     states = phases[None, :, :, None] * vectors[:, None, :, :]
     for i in np.nonzero(_pole_rows(thetas))[0]:
         states[i] = vectors[i][None, :, :]
-    return states, min_gap
+    return states
+
+
+def _rotating_band_states(cfg, thetas, phis):
+    """Cyclic-state family u(theta, varphi) = exp(-i varphi Sz_total) psi(theta)."""
+    vectors, min_gap = _rotating_band_vectors(cfg, thetas)
+    return _carried(vectors, thetas, phis), min_gap
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +279,21 @@ def _wilson_band_phases(cfg: DriveConfig, n_steps: int):
     """Richardson-extrapolated Wilson-loop phases of all four bands at cfg.theta.
 
     The raw loop converges as O(1/n^2); phases are evaluated on nested
-    grids of n_steps/2, n_steps and 2*n_steps points (sharing one
-    diagonalization pass over the finest grid) and extrapolated pairwise.
-    Returns {label: (phase, convergence_gap)} where convergence_gap is the
-    circular distance between the two extrapolated values, which
-    ``_converged`` checks.  One call solves the loop once for all four bands.
+    grids of n_steps/2, n_steps and 2*n_steps points and extrapolated
+    pairwise.  One call solves one matrix, at varphi = 0, for all four
+    bands; the spectrum does not depend on varphi, and its labelled
+    eigenstates are carried around the finest grid by exp(-i varphi
+    Sz_total) (see the module docstring).  Returns {label: (phase,
+    convergence_gap)} where convergence_gap is the circular distance
+    between the two extrapolated values, which ``_converged`` checks.
     """
     if n_steps < 64 or n_steps % 2:
         raise ValueError(f"n_steps must be even and >= 64, got {n_steps}")
     n_fine = 2 * n_steps
     phis = 2.0 * math.pi * np.arange(n_fine) / n_fine
-    states, _ = _adiabatic_band_states(cfg, np.array([cfg.theta]), phis)
-    loop = states[0]  # (n_fine, 4 components, 4 labels)
+    thetas = np.array([cfg.theta])
+    states, _ = _adiabatic_band_states(cfg, thetas, [0.0])
+    loop = _carried(states[:, 0], thetas, phis)[0]  # (n_fine, 4 components, 4 labels)
 
     def raw(stride):
         return wilson_loop_phase(loop[::stride])
@@ -310,7 +323,8 @@ def berry_phase_wilson(
 
     The loop product of instantaneous-eigenstate overlaps is evaluated for
     varphi from 0 to 2 pi; the result is gauge invariant and needs no
-    phase-smoothing of the eigenvectors.  It is one band of the cached
+    phase-smoothing of the eigenvectors, which are those at varphi = 0
+    carried around by exp(-i varphi Sz_total).  It is one band of the cached
     ``_wilson_band_phases``, so the other bands of a solved loop are free.
 
     Parameters
@@ -331,6 +345,8 @@ def berry_phase_wilson(
     NonConverged
         If doubling the resolution would still move the extrapolated
         result by more than WILSON_CONV_TOL.
+    UnsupportedPhase
+        Away from the phi in {0, pi} branches, before the bands are labelled.
     """
     phases = _wilson_band_phases(replace(cfg, theta=float(theta)), n_steps)
     return _converged(*phases[StateLabel(*label)])
@@ -516,10 +532,13 @@ def chern_lattice(
         branch this is the signature of the topological transition.
     NonConverged
         The flux total failed to snap to an integer within 1e-9.
+    UnsupportedPhase
+        Away from the phi in {0, pi} branches, before any grid is built.
     """
     if n_theta < 20 or n_phi < 20:
         raise ValueError("n_theta and n_phi must both be at least 20")
     _require_regime(regime)
+    cfg.phase_branch()  # an off-branch drive is refused before any grid is built
     thetas = np.linspace(0.0, math.pi, int(n_theta))
     phis = 2.0 * math.pi * np.arange(int(n_phi)) / int(n_phi)
     if regime == "nonadiabatic":

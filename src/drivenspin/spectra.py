@@ -241,8 +241,10 @@ def _label_bands(cfg, regime, values, theta=None, where=None):
     can raise what one pass over the whole grid would.
 
     Returns (order, min_gap); order[..., k] is the column of label k.  A gap
-    wider than the float range is inf, a resolved gap.
+    wider than the float range is inf, a resolved gap.  An off-branch drive
+    is refused with UnsupportedPhase before any value is read.
     """
+    cfg.phase_branch()
     with np.errstate(over="ignore"):
         gaps = np.diff(values, axis=-1)
     min_gap = float(np.min(gaps))

@@ -490,6 +490,25 @@ class TestBerry:
         doc = json.loads(out)
         assert doc["diagnostics"]["max_circular_difference"] < 1e-8
 
+    def test_wilson_convergence_gap_counts_failing_bands(self, capsys):
+        # this one row fails NonConverged at --n-steps 68; the diagnostic is
+        # the largest Richardson gap of any solved band, the failing ones too
+        theta = "1.1423973285781066"
+        code, out, _ = run_cli(
+            capsys, "berry", "--b", "2", "--t-lr", "1.0664239544486065", "--phi", "0",
+            "--theta-steps", "1", "--theta-min", theta, "--theta-max", theta, "--n-steps", "68",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert [row[-1] for row in doc["results"]["rows"]] == ["NonConverged"]
+        assert doc["diagnostics"]["max_wilson_convergence_gap"] > geometry.WILSON_CONV_TOL
+        # the nonadiabatic route has no Wilson loop and no such key
+        code, out, _ = run_cli(capsys, "berry", "--b", "2", "--t-lr", "1", "--omega", "1.5",
+                               "--regime", "nonadiabatic", "--theta-steps", "3")
+        assert code == 0 and list(json.loads(out)["diagnostics"]) == [
+            "max_circular_difference", "failed_rows"
+        ]
+
     def test_nonadiabatic_degenerate_row_captured(self, capsys):
         # sqrt(1 + mu^2) = lam: two in-phase rotating levels cross at theta = pi/2
         code, out, _ = run_cli(
@@ -534,13 +553,13 @@ def test_berry_adiabatic_solves_each_row_once(eigh_calls, capsys):
     geometry._wilson_band_phases.cache_clear()
     assert main("berry --b 2 --t-lr 0.6 --phi pi --theta-steps 7 --n-steps 128".split()) == 0
     assert json.loads(capsys.readouterr().out)["diagnostics"]["failed_rows"] == 1
-    assert eigh_calls == [(1, 256, 4, 4)] * 7
+    assert eigh_calls == [(1, 1, 4, 4)] * 7
     eigh_calls.clear()
     # decoupled sites: every row is a DegenerateGap
     assert main("berry --b 2 --t-lr 0 --theta-steps 3 --n-steps 128".split()) == 0
     rows = json.loads(capsys.readouterr().out)["results"]["rows"]
     assert [row[-1] for row in rows] == ["DegenerateGap"] * 3
-    assert eigh_calls == [(1, 256, 4, 4)] * 3
+    assert eigh_calls == [(1, 1, 4, 4)] * 3
 
 
 def _per_band_berry_row(cfg0, theta, n_steps=None):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from drivenspin import (
     NonConverged,
     OnTransition,
     StateLabel,
+    UnsupportedPhase,
     aa_phase_closed,
     build_hamiltonian,
     berry_phase_closed,
@@ -36,6 +38,7 @@ from drivenspin import (
     wilson_loop_phase,
 )
 from drivenspin import geometry
+from drivenspin.evolution import CyclicSystem
 from drivenspin.geometry import _CHERN_BLOCK, _adiabatic_band_states, _rotating_band_states
 from drivenspin.qmodel import SZ_TOTAL_DIAG
 
@@ -122,6 +125,43 @@ class TestWilson:
             errs.append(circular_distance(raw, expected))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
+
+    @pytest.mark.parametrize("n", [128, 256, 1024])
+    def test_covariant_loop_matches_diagonalized_loop(self, monkeypatch, n):
+        # _wilson_band_phases carries one labelled eigensolve at varphi = 0
+        # around its loop by exp(-i varphi Sz_total).  The raw phase of that
+        # loop equals the one of the loop diagonalized at every point, the
+        # reference route kept here, and a failing solve fails by the same name.
+        loops = []
+        monkeypatch.setattr(geometry, "wilson_loop_phase", lambda s: loops.append(s) or np.zeros(4))
+        phis = 2 * math.pi * np.arange(n) / n
+        rng = np.random.default_rng(n)
+        compared = []
+        for i in range(36):
+            theta = (0.0, math.pi, *rng.uniform(0.0, math.pi, 4))[i % 6]
+            t_lr = 0.0 if i % 9 == 8 else rng.uniform(0.05, 2.0)
+            cfg = DriveConfig(b=rng.uniform(0.5, 4.0), theta=theta,
+                              phi_r=(0.0, -math.pi)[i % 2], t_lr=t_lr)
+            try:
+                states, _ = _adiabatic_band_states(cfg, np.array([theta]), phis)
+                want = wilson_loop_phase(states[0])
+            except DrivenSpinError as exc:
+                want = type(exc).__name__
+            geometry._wilson_band_phases.cache_clear()
+            try:
+                geometry._wilson_band_phases(cfg, n // 2)
+                got = wilson_loop_phase(loops[-1])  # the stride-1 loop of n points
+            except DrivenSpinError as exc:
+                got = type(exc).__name__
+            if isinstance(want, str):
+                assert got == want, cfg
+                continue
+            assert max(map(circular_distance, got, want)) < 1e-9, cfg
+            compared.append((cfg.phase_branch(), theta in (0.0, math.pi)))
+        geometry._wilson_band_phases.cache_clear()
+        # resolved loops on both branches, at the poles and away from them
+        assert set(compared) == {(branch, pole) for branch in (0.0, math.pi)
+                                 for pole in (False, True)}
 
 
 class TestBerryClosed:
@@ -739,3 +779,26 @@ def test_numeric_entry_points_refuse_bad_arguments(call, name):
     # raised before any arithmetic: no numpy warning (an error here), nan or numpy ValueError
     with pytest.raises(ValueError, match=rf"^{name} "):
         call()
+
+
+def test_off_branch_drive_is_refused_before_labelling(monkeypatch):
+    # at t_lr = 0 every band touches, so a gap check made before the branch
+    # check would name DegenerateGap
+    solves = []
+    eigh_stack = geometry.eigh_stack
+    monkeypatch.setattr(geometry, "eigh_stack", lambda h: solves.append(np.shape(h)) or eigh_stack(h))
+    off = DriveConfig(b=2.0, theta=0.0, phi_r=-0.3)
+    for regime in ("adiabatic", "nonadiabatic"):
+        with pytest.raises(UnsupportedPhase):
+            chern_lattice(replace(off, omega=1.5), 400, 400, regime)
+    assert solves == []
+    with pytest.raises(UnsupportedPhase):
+        berry_phase_wilson(off, 1.0, StateLabel(1, 1), n_steps=128)
+    with pytest.raises(UnsupportedPhase):
+        label_eigenstates(eigensystem(build_hamiltonian(off, 0.0)), off)
+    system = CyclicSystem.of(replace(off, omega=1.5))
+    with pytest.raises(UnsupportedPhase):
+        system.phases(StateLabel(1, 1))
+    # the propagator labels nothing, so it still works off the branches
+    want = propagator_rk4(system.cfg, 1.0, n_steps=2000)
+    assert np.max(np.abs(system.propagator(1.0) - want)) < 1e-9

@@ -157,6 +157,25 @@ class TestLabHamiltonian:
             d = _lab_hamiltonian(cfg, thetas, varphis) - rotated
             assert np.max(np.abs(d)) < 1e-14 * cfg.b
 
+    def test_loop_points_are_rotations_of_varphi_zero(self):
+        # The adiabatic Wilson loop carries its varphi = 0 eigenstates around
+        # by U = exp(-i varphi Sz_total), which needs H(theta, varphi) =
+        # U H(theta, 0) U^dag on the drives the CLI builds (phi_l = 0,
+        # phi_r = 0 or -pi), t_lr = 0 included, for loop angles in [0, 2 pi).
+        # 4.3e-16 max|H| at worst on 3000 such draws (three seeds); the
+        # rounding of exp(-i (varphi + phi_l)) grows with |varphi + phi_l|.
+        rng = np.random.default_rng(21)
+        for i in range(400):
+            cfg = DriveConfig(b=rng.uniform(0.5, 4.0), theta=0.0, phi_r=(0.0, -math.pi)[i % 2],
+                              t_lr=0.0 if i % 4 < 2 else rng.uniform(0.0, 2.0))
+            thetas = np.append(rng.uniform(0.0, math.pi, 10), [0.0, math.pi])
+            varphis = rng.uniform(0.0, 2 * math.pi, 12)
+            u = np.exp(-1j * varphis[:, None] * SZ_TOTAL_DIAG)
+            h0 = _lab_hamiltonian(cfg, thetas)
+            rotated = u[:, :, None] * h0 * np.conj(u[:, None, :])
+            d = np.max(np.abs(_lab_hamiltonian(cfg, thetas, varphis) - rotated), axis=(-2, -1))
+            assert np.all(d <= 1e-15 * np.max(np.abs(h0), axis=(-2, -1)))
+
 
 class TestRotatingHamiltonian:
     def test_omega_zero_matches_lab(self):
