@@ -28,7 +28,7 @@ import numpy as np
 
 from . import geometry, phasescan
 from .errors import DrivenSpinError, NonConverged
-from .evolution import CyclicSystem, propagator_rk4
+from .evolution import CyclicSystem, _rk4_error_estimate, propagator_rk4
 from .qmodel import LABELS, DriveConfig, StateLabel, _rotating_hamiltonian
 from .spectra import _closed_energy_table, band_order, eigh_stack
 
@@ -353,6 +353,7 @@ def cmd_evolve(args) -> tuple[dict, dict]:
     diagnostics = {
         "exact_unitarity_defect": unitarity,
         "rk4_deviation": float(np.max(np.abs(u_exact - u_rk4))),
+        "rk4_error_estimate": _rk4_error_estimate(cfg, breakdown.period, args.rk4_steps),
         "rk4_reunitarization_norm": drift,
         "floquet_residual": system.floquet_residual(label),
         "dynamical_quadrature_circdiff": geometry.circular_distance(

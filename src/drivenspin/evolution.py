@@ -5,6 +5,15 @@ Hamiltonian is static, so U(t) = R(t) exp(-i H_rot t) with R(t) the frame
 rotation generated by Sz_total.  ``evolve`` diagonalizes H_rot once, in a
 ``CyclicSystem``.  An explicit Runge-Kutta integration of the
 time-dependent Schroedinger equation serves as the independent check.
+
+The same rotation carries the lab Hamiltonian along the drive,
+H(t) = R(t) H(0) R(t)^H, and conjugation commutes with the RK4 stage
+polynomial, so step k of the integration has the transfer matrix
+M_k = R(t_k) M_0 R(t_k)^H.  The N-step product therefore telescopes to
+R(t) (R(-dt) M_0)^N: ``propagator_rk4`` builds the first step's M_0 from
+three lab Hamiltonians and takes the power by repeated squaring.  It still
+integrates N steps of size t/N, with RK4's O(N^-4) error, and never reads
+H_rot's eigensystem.
 """
 
 from __future__ import annotations
@@ -31,13 +40,6 @@ from .spectra import EigenSystem, LabeledSpectrum, eigensystem, label_eigenstate
 #: Resolved drive periods drift by about 1e-8 at 1000 steps; a step near
 #: RK4's stability limit drifts by O(1).
 RK4_DRIFT_TOL = 1e-6
-
-#: Steps whose RK4 transfer matrices are built and multiplied at once.  At
-#: 1024 steps each stage array (k1..k4, m) is 256 KiB and stays in cache.  A
-#: power of two: every level of the pairwise product then pairs the same
-#: matrices as one pass over all steps would, so the result is bit-identical
-#: whatever the number of blocks.
-_RK4_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -151,26 +153,24 @@ def propagator_exact(cfg: DriveConfig, t: float) -> np.ndarray:
     return CyclicSystem.of(cfg).propagator(t)
 
 
-def _ordered_product(m: np.ndarray) -> np.ndarray:
-    """m[-1] @ ... @ m[0] of a stack, multiplied pairwise in stack order."""
-    while m.shape[0] > 1:
-        half = m.shape[0] // 2
-        paired = np.matmul(m[1 : 2 * half : 2], m[0 : 2 * half : 2])
-        m = paired if m.shape[0] % 2 == 0 else np.concatenate([paired, m[-1:]])
-    return m[0]
+def _rk4_product(cfg: DriveConfig, t: float, n: int) -> np.ndarray:
+    """Raw product M_{n-1} ... M_0 of n classical RK4 transfer matrices over [0, t].
 
-
-def _rk4_stage(h: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
-    """-1j * (h + scale * h @ k), updated in place.
-
-    The operands meet in the order of that expression, so every float is
-    the same; folding -1j into scale could move bits in the matmul.
+    The equation is linear, so each RK4 step is a transfer matrix acting on
+    U.  M_0 is built from the lab Hamiltonian at the first step's start,
+    middle and end; the product telescopes to R(t) (R(-dt) M_0)^n (see the
+    module docstring).  Steps far too coarse for ||H|| t overflow: callers
+    run this under an errstate that lets them through, and test the result.
     """
-    out = np.matmul(h, k)
-    out *= scale
-    out += h
-    out *= -1j
-    return out
+    dt = float(t) / n
+    h0, h1, h2 = _lab_hamiltonian(cfg, s=cfg.omega * np.array([0.0, 0.5 * dt, dt]))
+    k1 = -1j * h0
+    k2 = -1j * (h1 + 0.5 * dt * (h1 @ k1))
+    k3 = -1j * (h1 + 0.5 * dt * (h1 @ k2))
+    k4 = -1j * (h2 + dt * (h2 @ k3))
+    m0 = np.eye(4) + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    step = rotation_about_z(-cfg.omega * dt) @ m0
+    return rotation_about_z(cfg.omega * float(t)) @ np.linalg.matrix_power(step, n)
 
 
 def propagator_rk4(
@@ -178,10 +178,12 @@ def propagator_rk4(
 ):
     """Classical 4th-order integration of i dU/dt = H(t) U from identity.
 
-    Independent of the rotating-frame route: the lab Hamiltonian is
-    evaluated on the fly at each stage.  The raw endpoint is polished back
-    onto the unitary group by polar decomposition; the size of that
-    correction (the drift) is available via ``return_drift``.
+    Independent of the rotating-frame route: n_steps steps of size
+    t / n_steps, whose product is built from the first step's transfer
+    matrix and the drive rotation (see the module docstring).  The raw
+    endpoint is polished back onto the unitary group by polar
+    decomposition; the size of that correction (the drift) is available via
+    ``return_drift``.
 
     Parameters
     ----------
@@ -204,36 +206,8 @@ def propagator_rk4(
     n = int(n_steps)
     if n < 1000:
         raise ValueError(f"n_steps must be at least 1000, got {n}")
-    dt = float(t) / n
-    # The equation is linear, so the classical RK4 update is a per-step
-    # transfer matrix M_k acting on U.  The M_k of one block of steps are
-    # built batched from that block's half-step Hamiltonians, so memory does
-    # not grow with n.  Steps far too coarse for ||H|| t overflow; reported
-    # as NonConverged below.
-    eye = np.eye(4, dtype=complex)
-    block_products = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, _RK4_BLOCK):
-            stop = min(start + _RK4_BLOCK, n)
-            times = 0.5 * dt * np.arange(2 * start, 2 * stop + 1)
-            hs = _lab_hamiltonian(cfg, s=cfg.omega * times)
-            h0, h1, h2 = hs[0:-1:2], hs[1::2], hs[2::2]
-            k1 = -1j * h0
-            k2 = _rk4_stage(h1, k1, 0.5 * dt)
-            k3 = _rk4_stage(h1, k2, 0.5 * dt)
-            k4 = _rk4_stage(h2, k3, dt)
-            # m = eye + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), built in k2 in the
-            # same operand order
-            m = k2
-            m *= 2.0
-            m += k1
-            k3 *= 2.0
-            m += k3
-            m += k4
-            m *= dt / 6.0
-            m += eye
-            block_products.append(_ordered_product(m))
-        u = _ordered_product(np.stack(block_products))
+        u = _rk4_product(cfg, t, n)
     if not np.all(np.isfinite(u)):
         raise NonConverged(f"RK4 transfer product overflowed: {n} steps over t = {t:.3e}")
     # polar projection onto the closest unitary
@@ -249,6 +223,20 @@ def propagator_rk4(
             f"{RK4_DRIFT_TOL:.0e}); {n} steps cannot resolve t = {t:.3e}, use more steps"
         )
     return (unitary, drift) if return_drift else unitary
+
+
+def _rk4_error_estimate(cfg: DriveConfig, t: float, n: int) -> float:
+    """Step-doubling estimate of the error of an n-step ``propagator_rk4`` endpoint.
+
+    RK4's global error is O(n^-4), so the raw products U_n and U_2n at n
+    and 2n steps give the error of U_n as 16/15 max|U_n - U_2n|, entry by
+    entry (Hairer, Norsett and Wanner, *Solving ODEs I*, II.4).  Takes the
+    arguments of a ``propagator_rk4`` call that succeeded; an overflowing
+    product gives inf or nan.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.max(np.abs(_rk4_product(cfg, t, n) - _rk4_product(cfg, t, 2 * n)))
+    return 16.0 / 15.0 * float(gap)
 
 
 def extract_phases(cfg: DriveConfig, label: StateLabel) -> PhaseBreakdown:

@@ -173,6 +173,7 @@ def test_criterion_5_phase_diagram_properties():
 
 def test_criterion_6_evolution_cross_checks():
     """Exact vs RK4 propagators, the pi-offset identity, curvature link."""
+    start = time.perf_counter()
     rng = np.random.default_rng(99)
     worst_dev = 0.0
     for _ in range(10):
@@ -230,10 +231,12 @@ def test_criterion_6_evolution_cross_checks():
                     worst_curv, abs(numeric - (up - dn) / (2 * eps))
                 )
     assert worst_curv <= 1e-4
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
     _report(
         6,
         f"RK4 max dev {worst_dev:.2e}, pi-offset residual {worst_offset:.2e}, "
-        f"curvature link {worst_curv:.2e}",
+        f"curvature link {worst_curv:.2e}, {elapsed:.2f} s",
     )
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from drivenspin import (
     DriveConfig,
     LABELS,
+    NonConverged,
     StateLabel,
     ZeroFrequency,
     aa_phase_closed,
@@ -26,8 +28,8 @@ from drivenspin import (
 )
 from drivenspin import spectra
 from drivenspin.cli import main
-from drivenspin.evolution import _RK4_BLOCK, PhaseBreakdown
-from drivenspin.qmodel import _lab_hamiltonian, spin_site_operators
+from drivenspin.evolution import RK4_DRIFT_TOL, PhaseBreakdown
+from drivenspin.qmodel import _lab_hamiltonian, rotation_about_z, spin_site_operators
 
 
 def random_driven_config(rng):
@@ -109,43 +111,116 @@ class TestPropagatorRK4:
             propagator_rk4(cfg, 1.0, 100)
 
 
-def single_pass_rk4(cfg, t, n):
-    """propagator_rk4 with every half-step Hamiltonian and transfer matrix at once."""
-    dt = float(t) / n
-    times = 0.5 * dt * np.arange(2 * n + 1)
+def rk4_transfer_matrices(cfg, dt, count):
+    """The RK4 transfer matrices M_0 ... M_{count-1} of steps of size dt, at once."""
+    times = 0.5 * dt * np.arange(2 * count + 1)
     hs = _lab_hamiltonian(cfg, s=cfg.omega * times)
     h0, h1, h2 = hs[0:-1:2], hs[1::2], hs[2::2]
     k1 = -1j * h0
     k2 = -1j * (h1 + 0.5 * dt * np.matmul(h1, k1))
     k3 = -1j * (h1 + 0.5 * dt * np.matmul(h1, k2))
     k4 = -1j * (h2 + dt * np.matmul(h2, k3))
-    m = np.eye(4, dtype=complex) + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    while m.shape[0] > 1:
-        half = m.shape[0] // 2
-        paired = np.matmul(m[1 : 2 * half : 2], m[0 : 2 * half : 2])
-        m = paired if m.shape[0] % 2 == 0 else np.concatenate([paired, m[-1:]])
-    u = m[0]
+    return np.eye(4, dtype=complex) + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def polish(u):
+    """The closest unitary to u and the size of that correction."""
     w, _, vh = np.linalg.svd(u)
     unitary = w @ vh
     return unitary, float(np.linalg.norm(unitary - u))
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def single_pass_rk4(cfg, t, n):
+    """RK4 step by step: every half-step Hamiltonian and transfer matrix at once.
+
+    Returns the polished unitary and its drift, or (None, inf) where the
+    product overflows.
+    """
+    m = rk4_transfer_matrices(cfg, float(t) / n, n)
+    while m.shape[0] > 1:
+        half = m.shape[0] // 2
+        paired = np.matmul(m[1 : 2 * half : 2], m[0 : 2 * half : 2])
+        m = paired if m.shape[0] % 2 == 0 else np.concatenate([paired, m[-1:]])
+    u = m[0]
+    if not np.all(np.isfinite(u)):
+        return None, math.inf
+    return polish(u)
+
+
 class TestPropagatorRK4Blocks:
+    """The N-step product, taken in power-of-two blocks of steps by repeated
+    squaring as R(t) (R(-dt) M_0)^N, against the step-by-step reference."""
+
+    @pytest.mark.parametrize("phi_r", [0.0, -math.pi])
+    @pytest.mark.parametrize(
+        "n_steps", [1000, 1023, 1024, 1025, 3089, 4095, 4096, 4097, 12305, 100_000]
+    )
+    def test_bit_identical_to_single_pass(self, phi_r, n_steps):
+        """The step that is raised to the N-th power is bit for bit the
+        reference's first transfer matrix: no stage is rounded differently."""
+        cfg = DriveConfig(b=2.3, theta=1.1, phi_r=phi_r, omega=1.7, t_lr=0.6)
+        period = 2 * math.pi / cfg.omega
+        dt = period / n_steps
+        (m0,) = rk4_transfer_matrices(cfg, dt, 1)
+        step = rotation_about_z(-cfg.omega * dt) @ m0
+        ref_unitary, ref_drift = polish(
+            rotation_about_z(cfg.omega * period) @ np.linalg.matrix_power(step, n_steps)
+        )
+        unitary, drift = propagator_rk4(cfg, period, n_steps, return_drift=True)
+        assert np.array_equal(unitary, ref_unitary)
+        assert drift == ref_drift
+
     @pytest.mark.parametrize("phi_r", [0.0, -math.pi])
     @pytest.mark.parametrize(
         "n_steps",
-        # the block edges, then 4095 to 12305 steps: several whole blocks and
-        # 0, 1 or 17 steps more
-        [1000, _RK4_BLOCK - 1, _RK4_BLOCK, _RK4_BLOCK + 1, 3 * _RK4_BLOCK + 17,
-         4095, 4096, 4097, 12305, 100_000],
+        # the edges of the binary expansion that repeated squaring walks,
+        # and 3089 = 0b110000010001, whose bits are mostly apart
+        [1000, 1023, 1024, 1025, 3089, 4095, 4096, 4097, 12305, 65535, 65536, 100_000],
     )
-    def test_bit_identical_to_single_pass(self, phi_r, n_steps):
+    def test_matches_single_pass(self, phi_r, n_steps):
         cfg = DriveConfig(b=2.3, theta=1.1, phi_r=phi_r, omega=1.7, t_lr=0.6)
         period = 2 * math.pi / cfg.omega
         unitary, drift = propagator_rk4(cfg, period, n_steps, return_drift=True)
         ref_unitary, ref_drift = single_pass_rk4(cfg, period, n_steps)
-        assert np.array_equal(unitary, ref_unitary)
-        assert drift == ref_drift
+        assert np.max(np.abs(unitary - ref_unitary)) <= 1e-13
+        # a drift this small is roundoff, which the order of products moves
+        assert abs(drift - ref_drift) <= 1e-11
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(-1.0, 2.5),
+        st.floats(0.0, math.pi),
+        st.floats(-10.0, 10.0),
+        st.floats(-10.0, 10.0),
+        st.floats(-5.0, 0.5),
+        st.floats(0.0, 2.0),
+        st.floats(0.01, 1.0),
+        st.integers(1000, 4097),
+    )
+    def test_matches_single_pass_over_drives(
+        self, log_b, theta, phi_l, phi_r, log_omega, t_lr, fraction, n_steps
+    ):
+        """Any phases, the poles, decoupled sites and partial periods: the
+        same outcome as the reference, and a resolved endpoint that agrees
+        with it.  b is log-uniform from 0.1 to 316; omega (log-uniform) and
+        t_lr are in units of b.  The slowest drives step too coarsely for
+        their period, so about a quarter of the draws drift off the unitary
+        group or overflow."""
+        b = 10.0**log_b
+        cfg = DriveConfig(
+            b=b, theta=theta, phi_l=phi_l, phi_r=phi_r, omega=10.0**log_omega * b, t_lr=t_lr * b
+        )
+        t = fraction * 2 * math.pi / cfg.omega
+        ref_unitary, ref_drift = single_pass_rk4(cfg, t, n_steps)
+        try:
+            unitary, drift = propagator_rk4(cfg, t, n_steps, return_drift=True)
+        except NonConverged:
+            assert ref_drift > RK4_DRIFT_TOL - 1e-9
+            return
+        assert ref_drift < RK4_DRIFT_TOL + 1e-9
+        assert np.max(np.abs(unitary - ref_unitary)) <= 1e-12
+        assert abs(drift - ref_drift) <= 1e-10
 
     def test_memory_does_not_grow_with_steps(self):
         cfg = DriveConfig(b=2.0, theta=1.0, omega=1.5, t_lr=0.6)
@@ -158,8 +233,8 @@ class TestPropagatorRK4Blocks:
                 peaks[n_steps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # a single pass over all 100k steps would peak near 200 MiB; blocks of
-        # _RK4_BLOCK steps with stages updated in place peak near 2.2 MiB
+        # a single pass over all 100k steps would peak near 200 MiB; the
+        # telescoped product holds a few 4x4 matrices whatever the step count
         assert peaks[100_000] < 4 * 2**20
         assert abs(peaks[100_000] / peaks[20_000] - 1.0) < 0.1
 
@@ -270,3 +345,29 @@ def test_evolve_diagonalizes_once(monkeypatch, capsys):
     assert main(argv.split()) == 0
     capsys.readouterr()
     assert calls == [(4, 4)]
+
+
+def test_evolve_error_estimate_tracks_deviation(capsys):
+    """rk4_error_estimate, 16/15 max|U_n - U_2n| by step doubling, is the
+    error of the n-step endpoint: within 5% of rk4_deviation wherever that
+    rises above roundoff (1e-10), over resolved periods."""
+    rng = np.random.default_rng(37)
+    ratios = []
+    for _ in range(40):
+        argv = [
+            "evolve", "--b", repr(rng.uniform(2.0, 10.0)),
+            "--theta", repr(rng.uniform(0.1, math.pi - 0.1)),
+            "--phi", "pi" if rng.integers(2) else "0", "--omega", repr(rng.uniform(0.2, 2.0)),
+            "--t-lr", repr(rng.uniform(0.05, 3.0)), "--m1", "1", "--m2", "-1",
+            "--rk4-steps", str(rng.integers(1000, 4000)),
+        ]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if code:  # too few steps for the period
+            assert json.loads(err)["error"]["name"] == "NonConverged"
+            continue
+        diagnostics = json.loads(out)["diagnostics"]
+        if diagnostics["rk4_deviation"] > 1e-10:
+            ratios.append(diagnostics["rk4_error_estimate"] / diagnostics["rk4_deviation"])
+    assert len(ratios) >= 25
+    assert 0.95 <= min(ratios) and max(ratios) <= 1.05
