@@ -495,12 +495,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            parser.error(f"argument --threads: must be at least 1, got {args.threads}")
-        if getattr(args, "theta_steps", 1) < 1:
-            parser.error(
-                f"argument --theta-steps: must be at least 1, got {args.theta_steps}"
-            )
+        for flag, least in (("--threads", 1), ("--theta-steps", 1), ("--rk4-steps", 1000)):
+            value = getattr(args, flag[2:].replace("-", "_"), least)
+            if value < least:
+                parser.error(f"argument {flag}: must be at least {least}, got {value}")
         for flags, keys, unit, when in _GRIDS:
             applies = all(hasattr(args, k) for k in keys)
             if applies and (when is None or getattr(args, when[0], None) == when[1]):

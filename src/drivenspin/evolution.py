@@ -27,7 +27,6 @@ import numpy as np
 from .errors import NonConverged, ZeroFrequency
 from .geometry import _sz_total, fold_phase
 from .qmodel import (
-    SZ_TOTAL_DIAG,
     DriveConfig,
     StateLabel,
     _lab_hamiltonian,
@@ -114,19 +113,18 @@ class CyclicSystem:
         )
 
     def dynamical_quadrature(self, label: StateLabel, n_panels: int = 10_000) -> float:
-        """Quadrature of the dynamical phase; see ``dynamical_phase_quadrature``."""
+        """Co-rotating quadrature of the dynamical phase; see ``dynamical_phase_quadrature``."""
         vec = self.labeled.vector(label)
         n = int(n_panels)
         if n < 2 or n % 2:
             raise ValueError(f"n_panels must be even and >= 2, got {n}")
-        cfg, es = self.cfg, self.eig
+        es = self.eig
         times = np.linspace(0.0, self.period, n + 1)
-        # psi(t) = R(omega t) V exp(-i E t) V^H psi(0), vectorized over t
+        # psi_rot(t) = V exp(-i E t) V^H psi(0), vectorized over t
         coeff = es.vectors.conj().T @ vec
-        rot_frame = es.vectors @ (np.exp(-1j * np.outer(times, es.values)) * coeff).T
-        psi = np.exp(-1j * np.outer(cfg.omega * times, SZ_TOTAL_DIAG)) * rot_frame.T
-        hs = _lab_hamiltonian(cfg, s=cfg.omega * times)
-        expval = np.real(np.einsum("ti,tij,tj->t", np.conj(psi), hs, psi))
+        psi_rot = (np.exp(-1j * np.outer(times, es.values)) * coeff) @ es.vectors.T
+        h0 = _lab_hamiltonian(self.cfg)
+        expval = np.real(np.einsum("ti,ij,tj->t", np.conj(psi_rot), h0, psi_rot))
         weights = np.ones(n + 1)
         weights[1:-1:2] = 4.0
         weights[2:-1:2] = 2.0
@@ -262,9 +260,11 @@ def dynamical_phase_quadrature(
 ) -> float:
     """Dynamical phase by composite-Simpson quadrature of <psi(t)|H(t)|psi(t)>.
 
-    The trajectory psi(t) comes from the exact propagator and H(t) from the
-    lab-frame builder, so this is an independent route to the closed-form
-    dynamical phase used by ``extract_phases`` (folded comparison).
+    The exact trajectory is psi(t) = R(t) psi_rot(t) and the lab Hamiltonian
+    is covariant, H(t) = R(t) H(0) R(t)^H, so the integrand is
+    <psi_rot(t)|H(0)|psi_rot(t)>, with H(0) from the lab-frame builder: an
+    independent route to the closed-form dynamical phase used by
+    ``extract_phases`` (folded comparison).
     """
     return CyclicSystem.of(cfg).dynamical_quadrature(label, n_panels)
 

@@ -1,6 +1,7 @@
 """Geometric phases, curvature and Chern numbers of the driven two-site qubit.
 
-Everything numerical here is built from two gauge-invariant primitives:
+Every numerical route here multiplies gauge-invariant band-state overlaps,
+and all but the adiabatic Berry loop (see below) reduce them with one of:
 
 * ``wilson_loop_phase`` -- the phase of a product of normalized overlaps of
   band states around a closed loop (the discrete holonomy);
@@ -23,13 +24,14 @@ the lattice routines never evaluate a closed-form curvature or phase, only
 closed-form *energies* for band labeling.
 
 The family is covariant under U = exp(-i varphi Sz_total), H(theta,
-varphi) = U H(theta, 0) U^dag, so the adiabatic Wilson loop carries the
-labelled eigenstates at varphi = 0 around by U, as the cyclic-state family
-carries the rotating-frame ones; a loop reads no per-state phase, so this
-is the loop of states diagonalized at every point.  The lattice flux
-telescopes to the pole rows: ``chern_lattice``'s c1 of a band equals
-<Sz_total> of its labelled south-pole (theta = pi) state minus that of its
-north-pole state.  The labels come from the closed-form energies, so the
+varphi) = U H(theta, 0) U^dag, so the adiabatic Wilson loop is the loop of
+labelled eigenstates v at varphi = 0 carried around by U, as the
+cyclic-state family carries the rotating-frame ones; a loop reads no
+per-state phase, so this is the loop of states diagonalized at every point,
+and each link of an n-point loop is the one overlap <v|U(2 pi / n)|v>.  The
+lattice flux telescopes to the pole rows: ``chern_lattice``'s c1 of a band
+equals <Sz_total> of its labelled south-pole (theta = pi) state minus that
+of its north-pole state.  The labels come from the closed-form energies, so the
 lattice route reads the closed-form energy order at the poles;
 ``test_chern_is_the_pole_sz_difference`` pins the identity.
 """
@@ -253,20 +255,15 @@ def _rotating_band_vectors(cfg, thetas):
     return np.take_along_axis(vectors, order[..., None, :], axis=-1), min_gap
 
 
-def _carried(vectors, thetas, phis):
-    """exp(-i varphi Sz_total) v(theta) of labelled vectors (n_theta, 4, 4 labels)
-    on the (theta, varphi) grid; pole rows keep v across the row."""
+def _rotating_band_states(cfg, thetas, phis):
+    """Cyclic-state family u(theta, varphi) = exp(-i varphi Sz_total) psi(theta);
+    pole rows keep psi across the row."""
+    vectors, min_gap = _rotating_band_vectors(cfg, thetas)
     phases = np.exp(-1j * np.asarray(phis, float)[:, None] * SZ_TOTAL_DIAG)
     states = phases[None, :, :, None] * vectors[:, None, :, :]
     for i in np.nonzero(_pole_rows(thetas))[0]:
         states[i] = vectors[i][None, :, :]
-    return states
-
-
-def _rotating_band_states(cfg, thetas, phis):
-    """Cyclic-state family u(theta, varphi) = exp(-i varphi Sz_total) psi(theta)."""
-    vectors, min_gap = _rotating_band_vectors(cfg, thetas)
-    return _carried(vectors, thetas, phis), min_gap
+    return states, min_gap
 
 
 # ---------------------------------------------------------------------------
@@ -274,31 +271,33 @@ def _rotating_band_states(cfg, thetas, phis):
 # ---------------------------------------------------------------------------
 
 
+def _carried_loop_phases(vectors, n: int) -> list:
+    """Raw phases of the n-point Wilson loops carried from labelled vectors v
+    (4 components, 4 labels) at varphi = 0: every link is <v|U(2 pi / n)|v>
+    and the closing one also carries U(-2 pi) = -1, so a band's phase is
+    -(n arg(link) + pi), folded.  |link| >= cos(pi / n), so no link vanishes.
+    """
+    link = np.exp(-2j * math.pi * SZ_TOTAL_DIAG / n) @ (np.abs(vectors) ** 2)
+    return [fold_phase(-(n * a + math.pi)) for a in np.angle(link)]
+
+
 @lru_cache(maxsize=128)
 def _wilson_band_phases(cfg: DriveConfig, n_steps: int):
     """Richardson-extrapolated Wilson-loop phases of all four bands at cfg.theta.
 
     The raw loop converges as O(1/n^2); phases are evaluated on nested
-    grids of n_steps/2, n_steps and 2*n_steps points and extrapolated
+    loops of n_steps/2, n_steps and 2*n_steps points and extrapolated
     pairwise.  One call solves one matrix, at varphi = 0, for all four
-    bands; the spectrum does not depend on varphi, and its labelled
-    eigenstates are carried around the finest grid by exp(-i varphi
-    Sz_total) (see the module docstring).  Returns {label: (phase,
-    convergence_gap)} where convergence_gap is the circular distance
-    between the two extrapolated values, which ``_converged`` checks.
+    bands; the spectrum does not depend on varphi, and each loop of its
+    labelled eigenstates is read from one link (``_carried_loop_phases``).
+    Returns {label: (phase, convergence_gap)} where convergence_gap is the
+    circular distance between the two extrapolated values, which
+    ``_converged`` checks.
     """
     if n_steps < 64 or n_steps % 2:
         raise ValueError(f"n_steps must be even and >= 64, got {n_steps}")
-    n_fine = 2 * n_steps
-    phis = 2.0 * math.pi * np.arange(n_fine) / n_fine
-    thetas = np.array([cfg.theta])
-    states, _ = _adiabatic_band_states(cfg, thetas, [0.0])
-    loop = _carried(states[:, 0], thetas, phis)[0]  # (n_fine, 4 components, 4 labels)
-
-    def raw(stride):
-        return wilson_loop_phase(loop[::stride])
-
-    g_half, g_base, g_fine = raw(4), raw(2), raw(1)
+    v = _adiabatic_band_states(cfg, np.array([cfg.theta]), [0.0])[0][0, 0]
+    g_half, g_base, g_fine = [_carried_loop_phases(v, m * n_steps // 2) for m in (1, 2, 4)]
 
     def richardson(lo, hi):
         return np.array(
@@ -321,10 +320,10 @@ def berry_phase_wilson(
 ) -> float:
     """Geometric phase of one band around the constant-theta drive loop.
 
-    The loop product of instantaneous-eigenstate overlaps is evaluated for
-    varphi from 0 to 2 pi; the result is gauge invariant and needs no
-    phase-smoothing of the eigenvectors, which are those at varphi = 0
-    carried around by exp(-i varphi Sz_total).  It is one band of the cached
+    The loop product of instantaneous-eigenstate overlaps runs over varphi
+    from 0 to 2 pi and is gauge invariant; the eigenvectors are those at
+    varphi = 0 carried around by exp(-i varphi Sz_total), so the product is
+    minus the n-th power of one link.  It is one band of the cached
     ``_wilson_band_phases``, so the other bands of a solved loop are free.
 
     Parameters

@@ -286,6 +286,33 @@ class TestErrors:
         assert code == 2 and out == ""
         assert "--theta-steps" in err
 
+    @pytest.mark.parametrize(
+        "drive",
+        [
+            "--omega 1",  # DegenerateGap if the handler ran
+            "--omega 0",  # ZeroFrequency
+            "--omega 1 --phi 0.3",  # UnsupportedPhase
+            "--omega 1 --t-lr 0.3",  # propagator_rk4's own check
+        ],
+    )
+    def test_rk4_steps_below_1000_refused_before_any_handler(
+        self, capsys, monkeypatch, drive
+    ):
+        def handler(args):
+            raise AssertionError("handler reached")
+
+        monkeypatch.setattr(cli, "cmd_evolve", handler)
+        code, out, err = run_cli(
+            capsys, "evolve", "--b", "2", "--theta", "1", *drive.split(),
+            "--rk4-steps", "999",
+        )
+        assert code == 2 and out == ""
+        record = json.loads(err.splitlines()[-1])["error"]
+        assert record == {
+            "name": "ValidationError",
+            "message": "argument --rk4-steps: must be at least 1000, got 999",
+        }
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(

@@ -26,10 +26,15 @@ from drivenspin import (
     propagator_exact,
     propagator_rk4,
 )
-from drivenspin import spectra
+from drivenspin import DrivenSpinError, evolution, spectra
 from drivenspin.cli import main
-from drivenspin.evolution import RK4_DRIFT_TOL, PhaseBreakdown
-from drivenspin.qmodel import _lab_hamiltonian, rotation_about_z, spin_site_operators
+from drivenspin.evolution import RK4_DRIFT_TOL, CyclicSystem, PhaseBreakdown
+from drivenspin.qmodel import (
+    SZ_TOTAL_DIAG,
+    _lab_hamiltonian,
+    rotation_about_z,
+    spin_site_operators,
+)
 
 
 def random_driven_config(rng):
@@ -330,6 +335,52 @@ class TestExtractPhases:
     def test_breakdown_identity_enforced(self):
         with pytest.raises(ValueError):
             PhaseBreakdown(total=1.0, dynamical=0.2, geometric=0.3, period=1.0)
+
+
+def lab_frame_quadrature(cfg, label, n_panels=10_000):
+    """Simpson quadrature of <psi(t)|H(t)|psi(t)> in the lab frame: the lab
+    Hamiltonian at every node, on the rotated exact trajectory."""
+    system = CyclicSystem.of(cfg)
+    vec, es = system.labeled.vector(label), system.eig
+    times = np.linspace(0.0, system.period, n_panels + 1)
+    coeff = es.vectors.conj().T @ vec
+    rot_frame = es.vectors @ (np.exp(-1j * np.outer(times, es.values)) * coeff).T
+    psi = np.exp(-1j * np.outer(cfg.omega * times, SZ_TOTAL_DIAG)) * rot_frame.T
+    hs = _lab_hamiltonian(cfg, s=cfg.omega * times)
+    expval = np.real(np.einsum("ti,tij,tj->t", np.conj(psi), hs, psi))
+    weights = np.ones(n_panels + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return -(system.period / n_panels) / 3.0 * float(np.dot(weights, expval))
+
+
+def test_quadrature_matches_lab_frame_integrand(monkeypatch):
+    # by the drive's rotation covariance the co-rotating integrand
+    # <psi_rot|H(0)|psi_rot> is the lab one, node by node
+    rng = np.random.default_rng(38)
+    compared = set()
+    for i in range(24):
+        theta = (0.0, math.pi, *rng.uniform(0.0, math.pi, 4))[i % 6]
+        cfg = DriveConfig(b=rng.uniform(0.5, 3.0), theta=theta,
+                          phi_r=(0.0, -math.pi)[i % 2], omega=rng.uniform(0.4, 4.0),
+                          t_lr=rng.uniform(0.05, 1.5))
+        label = LABELS[i % 4]
+        try:
+            want = lab_frame_quadrature(cfg, label)
+        except DrivenSpinError as exc:
+            with pytest.raises(type(exc)):
+                dynamical_phase_quadrature(cfg, label)
+            continue
+        assert abs(dynamical_phase_quadrature(cfg, label) - want) < 1e-12, cfg
+        compared.add((cfg.phase_branch(), theta in (0.0, math.pi)))
+        resolved = cfg, label
+    assert compared == {(branch, pole) for branch in (0.0, math.pi)
+                        for pole in (False, True)}
+    built = []
+    monkeypatch.setattr(evolution, "_lab_hamiltonian",
+                        lambda *a, **k: built.append(_lab_hamiltonian(*a, **k)) or built[-1])
+    dynamical_phase_quadrature(*resolved)
+    assert [h.shape for h in built] == [(4, 4)]
 
 
 def test_evolve_diagonalizes_once(monkeypatch, capsys):

@@ -127,13 +127,13 @@ class TestWilson:
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
     @pytest.mark.parametrize("n", [128, 256, 1024])
-    def test_covariant_loop_matches_diagonalized_loop(self, monkeypatch, n):
-        # _wilson_band_phases carries one labelled eigensolve at varphi = 0
-        # around its loop by exp(-i varphi Sz_total).  The raw phase of that
-        # loop equals the one of the loop diagonalized at every point, the
-        # reference route kept here, and a failing solve fails by the same name.
-        loops = []
-        monkeypatch.setattr(geometry, "wilson_loop_phase", lambda s: loops.append(s) or np.zeros(4))
+    def test_covariant_loop_matches_diagonalized_loop(self, n):
+        # _wilson_band_phases carries one labelled eigensolve v at varphi = 0
+        # around its loop by exp(-i varphi Sz_total), so every link of the
+        # n-point loop is <v|exp(-2 pi i Sz_total / n)|v>.  The raw phase read
+        # from that link equals the one of the loop diagonalized at every
+        # point, the reference route kept here, and a failing solve fails by
+        # the same name.
         phis = 2 * math.pi * np.arange(n) / n
         rng = np.random.default_rng(n)
         compared = []
@@ -150,13 +150,19 @@ class TestWilson:
             geometry._wilson_band_phases.cache_clear()
             try:
                 geometry._wilson_band_phases(cfg, n // 2)
-                got = wilson_loop_phase(loops[-1])  # the stride-1 loop of n points
+                v = _adiabatic_band_states(cfg, np.array([theta]), [0.0])[0][0, 0]
+                got = geometry._carried_loop_phases(v, n)
             except DrivenSpinError as exc:
                 got = type(exc).__name__
             if isinstance(want, str):
                 assert got == want, cfg
                 continue
             assert max(map(circular_distance, got, want)) < 1e-9, cfg
+            # |link|^2 = cos^2(pi/n) + <2 Sz_total>^2 sin^2(pi/n): no link can
+            # come near wilson_loop_phase's 0.5 refusal
+            step = np.exp(-2j * math.pi * SZ_TOTAL_DIAG / n)
+            link = np.einsum("ik,i,ik->k", np.conj(v), step, v)
+            assert np.min(np.abs(link)) >= math.cos(math.pi / n) - 1e-15, cfg
             compared.append((cfg.phase_branch(), theta in (0.0, math.pi)))
         geometry._wilson_band_phases.cache_clear()
         # resolved loops on both branches, at the poles and away from them
