@@ -19,10 +19,8 @@ import json
 import math
 import re
 import sys
-from collections import Counter
 from contextlib import suppress
 from dataclasses import replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -146,11 +144,47 @@ class _Texts(dict):
         return text
 
 
+class _Coded:
+    """A table column whose row i holds ``values[codes[i]]``, codes an int array."""
+
+    def __init__(self, codes: np.ndarray, values):
+        self.codes, self.values = codes, values
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> _Coded:
+        return _Coded(self.codes[rows], self.values)
+
+    def __iter__(self):
+        return map(self.values.__getitem__, self.codes.tolist())
+
+
+def _column_texts(col, cell, known: _Texts) -> list[str]:
+    """``cell`` of each value of one block of a table column.
+
+    A float64 array is rendered once per distinct bit pattern, so -0.0 and
+    0.0 keep their own texts, and a ``_Coded`` column once per code it
+    holds; the texts are then gathered by index.  Any other column is a
+    sequence, rendered through ``known``.
+    """
+    if isinstance(col, np.ndarray):
+        distinct, index = np.unique(col.view(np.int64), return_inverse=True)
+        values = distinct.view(np.float64).tolist()
+    elif isinstance(col, _Coded):
+        distinct, index = np.unique(col.codes, return_inverse=True)
+        values = [col.values[k] for k in distinct.tolist()]
+    else:
+        return [known[v] if type(v) is float else known[type(v), v] for v in col]
+    return np.array([cell(v) for v in values], dtype=object)[index].tolist()
+
+
 def _table_rows(columns, cell, sep: str, row: str, row_sep: str, header=None) -> list[str]:
     """Texts whose concatenation is the table's rows: one per block of rows, and row_sep.
 
     Each row is ``row`` with its cells, rendered by ``cell`` and joined by
-    ``sep``, in place of '{}'; ``row_sep`` separates rows.  A block that fails
+    ``sep``, in place of '{}'; ``row_sep`` separates rows.  A column is a
+    sequence, a float64 array or a ``_Coded`` column.  A block that fails
     is rendered again row by row, so it raises at the value the whole
     document would; with a ``header``, the error names that value's column
     and row (counted from 0).
@@ -161,10 +195,7 @@ def _table_rows(columns, cell, sep: str, row: str, row_sep: str, header=None) ->
         block = [col[i : i + _BLOCK_ROWS] for col in columns]
         known = _Texts(cell)
         try:
-            rows = zip(*[
-                [known[v] if type(v) is float else known[type(v), v] for v in col]
-                for col in block
-            ])
+            rows = zip(*[_column_texts(col, cell, known) for col in block])
         except NonConverged:  # raised again, at the block's first bad cell in row order
             for r, values in enumerate(zip(*block), i):
                 for j, v in enumerate(values):
@@ -364,28 +395,26 @@ def cmd_evolve(args) -> tuple[dict, dict]:
 
 
 def cmd_phase_diagram(args) -> tuple[tuple, dict]:
-    """Classified (B, Omega) grid for the phase diagram."""
-    cells = phasescan.scan_diagram(
+    """Classified (B, Omega) grid for the phase diagram, rendered from the scan's columns."""
+    b, omega, codes, distances, errors = phasescan._scan_columns(
         (args.b_min, args.b_max),
         (args.omega_min, args.omega_max),
-        t_lr=args.t_lr,
-        phi=args.phi,
-        n_b=args.n_b,
-        n_omega=args.n_omega,
-        method=args.method,
+        args.t_lr,
+        args.phi,
+        args.n_b,
+        args.n_omega,
+        args.method,
     )
-    # unzipped one column at a time: zip(*cells) makes an iterator per cell,
-    # and the garbage collections they set off cost more than the unzip
-    b, omega, phases, distances, errors = (list(map(itemgetter(k), cells)) for k in range(5))
-    by_phase = {None: (None, None, None)}  # the class, c_plus and c_minus columns
-    by_phase.update((p, (p.render(), p.c_plus, p.c_minus)) for p in phasescan._PHASES)
-    rows = list(map(by_phase.__getitem__, phases))
-    classes, c_plus, c_minus = (list(map(itemgetter(k), rows)) for k in range(3))
+    # the class, c_plus, c_minus and error of each code
+    outcomes = [(p.render(), p.c_plus, p.c_minus, None) for p in phasescan._PHASES]
+    outcomes += [(None, None, None, name) for name in errors]
+    classes, c_plus, c_minus, names = (_Coded(codes, values) for values in zip(*outcomes))
     # a cell holds either a class or the name of the error that replaced it
-    counts = Counter(cls or err for cls, err in zip(classes, errors))
-    columns = [b, omega, classes, c_plus, c_minus, distances, errors]
+    counts = np.bincount(codes, minlength=len(outcomes)).tolist()
+    class_counts = {cls or err: n for (cls, _, _, err), n in zip(outcomes, counts) if n}
+    columns = [b, omega, classes, c_plus, c_minus, distances, names]
     header = ["b", "omega", "class", "c_plus", "c_minus", "boundary_distance", "error"]
-    return (header, columns), {"class_counts": dict(sorted(counts.items()))}
+    return (header, columns), {"class_counts": dict(sorted(class_counts.items()))}
 
 
 # ---------------------------------------------------------------------------

@@ -119,29 +119,19 @@ def _scan_cell(b, omega, t_lr, phi, method):
     return PhaseDiagramCell(b, omega, phase, dist, error)
 
 
-def _scan_closed(bs, ws, t_lr: float, in_phase: bool) -> list[PhaseDiagramCell]:
-    """Closed-form cells of the grid bs x ws, row-major, in one array pass.
+def _scan_closed(b_cells, omega_cells, t_lr: float, in_phase: bool):
+    """Closed-form (codes, distances, errors) columns of the cells, in one array pass.
 
     For valid parameters each cell is the one ``_scan_cell`` gives: a cell
     within TRANSITION_TOL of a transition line records OnTransition, and a
     sector parameter that overflows is inf, as Python's float division gives.
     """
-    b_cells = np.repeat(bs, ws.size)
-    omega_cells = np.tile(ws, bs.size)
     with np.errstate(over="ignore"):
         x_plus, x_minus = _sector_ratios(b_cells, omega_cells, t_lr, in_phase)
     on_plus, top_plus = _sector_masks(x_plus)
     on_minus, top_minus = _sector_masks(x_minus)
-    on = on_plus | on_minus
-    phases = np.array([*_PHASES, None], dtype=object)  # None for a cell on a transition line
-    return list(map(
-        PhaseDiagramCell,
-        b_cells.tolist(),
-        omega_cells.tolist(),
-        phases[np.where(on, 4, 2 * top_plus + top_minus)].tolist(),
-        _boundary_distance(x_plus, x_minus).tolist(),
-        np.where(on, "OnTransition", None).tolist(),
-    ))
+    codes = np.where(on_plus | on_minus, len(_PHASES), 2 * top_plus + top_minus)
+    return codes, _boundary_distance(x_plus, x_minus), ["OnTransition"]
 
 
 def _centres(lo: float, hi: float, n: int) -> np.ndarray:
@@ -150,6 +140,41 @@ def _centres(lo: float, hi: float, n: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         span = i * (hi - lo)
         return lo + np.where(np.isfinite(span), span / n, i * ((hi - lo) / n))
+
+
+def _scan_columns(b_range, omega_range, t_lr, phi, n_b, n_omega, method):
+    """The grid of ``scan_diagram`` as columns (b, omega, code, distance, errors).
+
+    b, omega and distance are float64 arrays of the cells in row-major
+    order.  A cell's code indexes ``_PHASES``; a cell with no class has code
+    ``len(_PHASES) + k`` and failed with the error named ``errors[k]``.
+    """
+    for name, n in (("n_b", n_b), ("n_omega", n_omega)):
+        if not isinstance(n, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n_b < 2 or n_omega < 2:
+        raise ValueError("n_b and n_omega must both be at least 2")
+    b_lo, b_hi = map(float, b_range)
+    w_lo, w_hi = map(float, omega_range)
+    if b_hi < b_lo or w_hi < w_lo:
+        raise ValueError("ranges must be increasing")
+    if b_lo < 0.0 or w_lo < 0.0:
+        raise ValueError("ranges must be non-negative")
+    # Validate phi once; per-cell errors are recorded, a bad branch is not.
+    base = DriveConfig(b=1.0, theta=0.0, phi_l=0.0, phi_r=-phi, t_lr=t_lr)
+    in_phase = base.phase_branch() == 0.0
+    bs, ws = _centres(b_lo, b_hi, n_b), _centres(w_lo, w_hi, n_omega)
+    # Finite ranges give finite centres, a non-finite range none, and b <= 0
+    # rows are a prefix: the first cell is invalid if any is, and raises so.
+    DriveConfig(b=bs[0], theta=0.0, phi_l=0.0, phi_r=-phi, omega=ws[0], t_lr=t_lr)
+    b, omega = np.repeat(bs, ws.size), np.tile(ws, bs.size)
+    if method == "closed":
+        return b, omega, *_scan_closed(b, omega, base.t_lr, in_phase)
+    cells = [_scan_cell(*bw, t_lr, phi, method) for bw in zip(b.tolist(), omega.tolist())]
+    errors = list(dict.fromkeys(c.error for c in cells if c.phase is None))
+    outcomes = [*_PHASES, *errors]  # a PhaseClass equals no error name
+    codes = np.array([outcomes.index(c.phase or c.error) for c in cells])
+    return b, omega, codes, np.array([c.boundary_distance for c in cells]), errors
 
 
 def scan_diagram(
@@ -167,29 +192,27 @@ def scan_diagram(
     dimensionless ratios diverge) is never sampled even when the range
     starts at zero.  Per-cell failures are recorded in the cell, never
     raised; the scan always completes.  Invalid parameters raise
-    ValueError as the first invalid cell's DriveConfig does.
+    ValueError: a non-integer n_b or n_omega by its name, a count below 2,
+    a bad range, or as the first invalid cell's DriveConfig does.
 
     The closed method classifies the whole grid in one array pass
     (``_scan_closed``); the lattice method computes one ``chern_lattice``
-    per cell through ``_scan_cell``.
+    per cell through ``_scan_cell``.  ``phase-diagram`` renders the same
+    grid from its columns, without building the cells.
 
     Returns the cells in row-major order (B outer, Omega inner).
     """
-    if n_b < 2 or n_omega < 2:
-        raise ValueError("n_b and n_omega must both be at least 2")
-    b_lo, b_hi = map(float, b_range)
-    w_lo, w_hi = map(float, omega_range)
-    if b_hi < b_lo or w_hi < w_lo:
-        raise ValueError("ranges must be increasing")
-    if b_lo < 0.0 or w_lo < 0.0:
-        raise ValueError("ranges must be non-negative")
-    # Validate phi once; per-cell errors are recorded, a bad branch is not.
-    base = DriveConfig(b=1.0, theta=0.0, phi_l=0.0, phi_r=-phi, t_lr=t_lr)
-    in_phase = base.phase_branch() == 0.0
-    bs, ws = _centres(b_lo, b_hi, n_b), _centres(w_lo, w_hi, n_omega)
-    # Finite ranges give finite centres, a non-finite range none, and b <= 0
-    # rows are a prefix: the first cell is invalid if any is, and raises so.
-    DriveConfig(b=bs[0], theta=0.0, phi_l=0.0, phi_r=-phi, omega=ws[0], t_lr=t_lr)
-    if method != "closed":
-        return [_scan_cell(float(b), float(w), t_lr, phi, method) for b in bs for w in ws]
-    return _scan_closed(bs, ws, base.t_lr, in_phase)
+    b, omega, codes, distances, errors = _scan_columns(
+        b_range, omega_range, t_lr, phi, n_b, n_omega, method
+    )
+    codes = codes.tolist()
+    phases = [*_PHASES, *[None] * len(errors)]
+    names = [None] * len(_PHASES) + list(errors)
+    return list(map(
+        PhaseDiagramCell,
+        b.tolist(),
+        omega.tolist(),
+        map(phases.__getitem__, codes),
+        distances.tolist(),
+        map(names.__getitem__, codes),
+    ))

@@ -240,6 +240,19 @@ class TestErrors:
             "the result holds the non-finite value inf in column 'boundary_distance' at row 1"
         )
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_first_cell_is_named(self, capsys, fmt):
+        # at the default b range omega / b overflows from the first cell on
+        code, out, err = run_cli(
+            capsys, "--format", fmt, "phase-diagram", "--omega-max", "1.7e308", "--n-omega", "3"
+        )
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "name": "NonConverged",
+            "message": "the result holds the non-finite value inf in column"
+            " 'boundary_distance' at row 0",
+        }
+
     def test_overflowing_closed_forms_fail_berry_rows(self, capsys):
         # mu = omega / b overflows; the bands stay resolved, so labeling refuses
         code, out, _ = run_cli(
@@ -742,28 +755,57 @@ class TestPhaseDiagram:
     def test_lattice_document_is_its_scan(self, capsys, fmt):
         """Each row of a lattice document is its scan cell, field for field;
         two of the four cells sit on a transition line and fail."""
-        code, out, _ = run_cli(
-            capsys, "--format", fmt, "phase-diagram", "--b-min", "0.5", "--b-max", "1.5",
-            "--omega-min", "2.5", "--omega-max", "3.5", "--n-b", "2", "--n-omega", "2",
-            "--t-lr", "1", "--phi", "pi", "--method", "lattice",
-        )
-        assert code == 0
-        cells = scan_diagram((0.5, 1.5), (2.5, 3.5), 1.0, math.pi, 2, 2, method="lattice")
-        want = [
-            [c.b, c.omega, c.phase and c.phase.render(), c.phase and c.phase.c_plus,
-             c.phase and c.phase.c_minus, c.boundary_distance, c.error]
-            for c in cells
-        ]
-        assert [row[-1] for row in want] == ["DegenerateGap", None, None, "DegenerateGap"]
-        if fmt == "json":
-            rows = json.loads(out)["results"]["rows"]
-        else:
-            header, *lines = out.splitlines()
-            assert header == "b,omega,class,c_plus,c_minus,boundary_distance,error"
-            types = (float, float, str, int, int, float, str)
-            rows = [[t(v) if v else None for t, v in zip(types, csv_cells(line))]
-                    for line in lines]
-        assert rows == want
+        grid = ("0.5", "1.5", "2.5", "3.5", "2", "2", "1")
+        errors = _document_errors(capsys, fmt, "lattice", "pi", grid)
+        assert errors == ["DegenerateGap", None, None, "DegenerateGap"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "phi,grid,on_lines",
+        [
+            # b = omega at centres 0.25, 0.75, ..., 3.75: mu = 1 on the diagonal
+            ("0", ("0", "4", "0", "4", "8", "8", "0.5"), 8),
+            # Delta_m2 = +-1 where omega = b -+ 1, on both sides of the diagonal
+            ("pi", ("0", "4", "0", "4", "8", "8", "0.5"), 14),
+            ("pi", ("0", "7.3", "0", "5.1", "37", "53", "1.1"), 0),
+        ],
+    )
+    def test_closed_document_is_its_scan(self, capsys, fmt, phi, grid, on_lines):
+        """Each row of a closed document, rendered from the scan's columns, is
+        its ``scan_diagram`` cell, OnTransition cells included."""
+        errors = _document_errors(capsys, fmt, "closed", phi, grid)
+        assert errors.count("OnTransition") == on_lines
+        assert set(errors) <= {None, "OnTransition"}
+
+
+def _document_errors(capsys, fmt, method, phi, grid) -> list:
+    """Assert that the ``phase-diagram`` document of ``grid`` (b_min, b_max,
+    omega_min, omega_max, n_b, n_omega, t_lr) is its ``scan_diagram`` cells,
+    row for row and field for field; return the error column."""
+    b_lo, b_hi, w_lo, w_hi, n_b, n_omega, t_lr = grid
+    code, out, _ = run_cli(
+        capsys, "--format", fmt, "phase-diagram", "--b-min", b_lo, "--b-max", b_hi,
+        "--omega-min", w_lo, "--omega-max", w_hi, "--n-b", n_b, "--n-omega", n_omega,
+        "--t-lr", t_lr, "--phi", phi, "--method", method,
+    )
+    assert code == 0
+    cells = scan_diagram((float(b_lo), float(b_hi)), (float(w_lo), float(w_hi)),
+                         float(t_lr), parse_angle(phi), int(n_b), int(n_omega), method=method)
+    want = [
+        [c.b, c.omega, c.phase and c.phase.render(), c.phase and c.phase.c_plus,
+         c.phase and c.phase.c_minus, c.boundary_distance, c.error]
+        for c in cells
+    ]
+    if fmt == "json":
+        rows = json.loads(out)["results"]["rows"]
+    else:
+        header, *lines = out.splitlines()
+        assert header == "b,omega,class,c_plus,c_minus,boundary_distance,error"
+        types = (float, float, str, int, int, float, str)
+        rows = [[t(v) if v else None for t, v in zip(types, csv_cells(line))]
+                for line in lines]
+    assert rows == want
+    return [row[-1] for row in rows]
 
 
 def test_diagram_document_is_rendered_in_blocks(tmp_path):
@@ -874,6 +916,68 @@ def test_documents_match_the_row_rule(fmt, to_file, document):
                 assert fh.read() == want.encode("utf-8")
         else:
             assert out.getvalue() == want
+
+
+#: Floats at the edges of the float64 range, signed zeros among them.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def array_tables(draw):
+    """(results, rows, diagnostics) of a table whose columns are float64
+    arrays, ``cli._Coded`` columns or lists of floats, with inf, -inf or nan
+    at random cells.  A coded column's values may hold non-finite values that
+    no row uses."""
+    diagnostics = draw(st.dictionaries(st.text(max_size=3), _CELLS, max_size=2))
+    n_rows = draw(st.sampled_from(
+        [1, _TEST_BLOCK - 1, _TEST_BLOCK, _TEST_BLOCK + 1, 3 * _TEST_BLOCK + 2]
+    ))
+    n_cols = draw(st.integers(1, 4))
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+    bad = st.sampled_from([math.inf, -math.inf, math.nan])
+    columns = []
+    for _ in range(n_cols):
+        kind = draw(st.sampled_from(["array", "array", "coded", "list"]))
+        if kind == "coded":
+            values = draw(st.lists(_CELLS | bad, min_size=1, max_size=5))
+            codes = draw(st.lists(st.integers(0, len(values) - 1),
+                                  min_size=n_rows, max_size=n_rows))
+            columns.append(cli._Coded(np.array(codes), values))
+        else:
+            values = draw(st.lists(floats, min_size=n_rows, max_size=n_rows))
+            columns.append(np.array(values, dtype=np.float64) if kind == "array" else values)
+    for i, j, value in draw(st.lists(st.tuples(
+        st.integers(0, n_rows - 1), st.integers(0, n_cols - 1), bad), max_size=3
+    )):
+        if not isinstance(columns[j], cli._Coded):
+            columns[j][i] = value
+    header = [f"c{j}" for j in range(n_cols)]
+    return (header, columns), [list(row) for row in zip(*columns)], diagnostics
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["json", "csv"]), array_tables())
+def test_array_columns_match_the_row_rule(fmt, document):
+    """Float64 array and coded columns render the text the row rule does,
+    across block edges, and refuse a document at its first non-finite cell
+    in row order, by column name and row."""
+    results, rows, diagnostics = document
+    try:
+        want = _row_rule(fmt, results, rows, diagnostics)
+    except NonConverged as exc:
+        want = exc
+    out = io.StringIO()
+    args = argparse.Namespace(format=fmt, out=None, command="table")
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out):
+        mp.setattr(cli, "_BLOCK_ROWS", _TEST_BLOCK)
+        if isinstance(want, NonConverged):
+            with pytest.raises(NonConverged) as raised:
+                cli._emit(args, results, diagnostics)
+            assert str(raised.value) == str(want)
+            assert out.getvalue() == ""
+            return
+        cli._emit(args, results, diagnostics)
+    assert out.getvalue() == want
 
 
 _MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e))

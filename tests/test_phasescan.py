@@ -194,6 +194,24 @@ class TestScanDiagram:
             scan_diagram((0, 6), (0, 6), 1.0, 0.3, 4, 4)
 
     @pytest.mark.parametrize(
+        "n_b,n_omega,message",
+        [
+            (2.5, 2, "n_b must be an integer, got 2.5"),
+            (3.0, 3, "n_b must be an integer, got 3.0"),
+            (2, np.float64(4.0), "n_omega must be an integer, got np.float64(4.0)"),
+            (2, "3", "n_omega must be an integer, got '3'"),
+            (None, 2.5, "n_b must be an integer, got None"),
+        ],
+    )
+    def test_non_integer_counts_refused(self, n_b, n_omega, message):
+        """A float count would centre cells on a grid of ceil(n) rows whose last
+        centre lies on the range's upper edge; it is refused by name."""
+        for method in ("closed", "lattice"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                scan_diagram((0, 6), (0, 6), 1.0, math.pi, n_b, n_omega, method=method)
+        assert len(scan_diagram((0, 6), (0, 6), 1.0, math.pi, np.int64(3), 2)) == 6
+
+    @pytest.mark.parametrize(
         "b_range,omega_range,message",
         [
             ((0, 0), (0, 6), "b must be > 0, got 0.0"),

@@ -1,7 +1,13 @@
+import dataclasses
+import functools
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drivenspin import DriveConfig, StateLabel, UnsupportedPhase
 from drivenspin.qmodel import (
@@ -14,6 +20,10 @@ from drivenspin.qmodel import (
 )
 
 RNG = np.random.default_rng(20240811)
+
+#: The fields of a DriveConfig, in declaration order, and a valid drive.
+FIELDS = ("b", "theta", "phi_l", "phi_r", "omega", "t_lr")
+VALID = dict(b=2.0, theta=1.0, phi_l=0.5, phi_r=-0.5, omega=1.5, t_lr=0.7)
 
 
 def random_config(rng, omega_max=4.0):
@@ -62,6 +72,96 @@ class TestDriveConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             DriveConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_field_message(self, field, value):
+        kwargs = {**VALID, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            DriveConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("b", 0.0, "b must be > 0, got 0.0"),
+            ("b", -0.0, "b must be > 0, got -0.0"),
+            ("b", -1, "b must be > 0, got -1.0"),
+            ("theta", -0.1, "theta must lie in [0, pi], got -0.1"),
+            ("theta", 3.2, "theta must lie in [0, pi], got 3.2"),
+            ("theta", math.nextafter(math.pi, 4.0),
+             f"theta must lie in [0, pi], got {math.nextafter(math.pi, 4.0)}"),
+            ("omega", -0.5, "omega must be >= 0, got -0.5"),
+            ("t_lr", -5e-324, "t_lr must be >= 0, got -5e-324"),
+        ],
+    )
+    def test_range_message(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DriveConfig(**{**VALID, field: value})
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.dictionaries(
+        st.sampled_from(FIELDS),
+        st.sampled_from([math.inf, -math.inf, math.nan, -1.0, 4.0, 0.0]),
+        min_size=2,
+    ))
+    def test_first_bad_field_is_named(self, bad):
+        """Every field's finiteness is checked, in declaration order, before
+        the range checks of b, theta, omega and t_lr, in that order."""
+        kwargs = {**VALID, **bad}
+        non_finite = [f for f in FIELDS if not math.isfinite(kwargs[f])]
+        out_of_range = [f for f, ok in (
+            ("b", kwargs["b"] > 0.0),
+            ("theta", 0.0 <= kwargs["theta"] <= math.pi),
+            ("omega", kwargs["omega"] >= 0.0),
+            ("t_lr", kwargs["t_lr"] >= 0.0),
+        ) if not ok]
+        first = (non_finite + out_of_range + [None])[0]
+        if first is None:
+            assert DriveConfig(**kwargs) == DriveConfig(*(kwargs[f] for f in FIELDS))
+            return
+        with pytest.raises(ValueError, match=f"^{first} must "):
+            DriveConfig(**kwargs)
+
+    def test_finite_fields_whose_sum_overflows_are_valid(self):
+        cfg = DriveConfig(b=1.7e308, theta=math.pi, phi_l=1.7e308, phi_r=1.7e308,
+                          omega=1.7e308, t_lr=1.7e308)
+        assert cfg.t_lr == 1.7e308
+
+    @pytest.mark.parametrize("value", [1, True, np.int64(1), np.float64(1.0), np.float32(1.0)])
+    def test_numbers_become_python_floats(self, value):
+        cfg = DriveConfig(value, value, value, value, value, value)
+        assert [type(getattr(cfg, f)) for f in FIELDS] == [float] * 6
+        assert cfg == DriveConfig(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+
+    def test_dataclass_behaviour(self):
+        cfg = DriveConfig(b=2, theta=0.3, phi_r=-math.pi, omega=np.float64(1.5), t_lr=1)
+        assert [f.name for f in dataclasses.fields(cfg)] == list(FIELDS)
+        assert repr(cfg) == (
+            "DriveConfig(b=2.0, theta=0.3, phi_l=0.0, phi_r=-3.141592653589793,"
+            " omega=1.5, t_lr=1.0)"
+        )
+        twin = DriveConfig(2.0, 0.3, 0.0, -math.pi, 1.5, 1.0)
+        assert cfg == twin and hash(cfg) == hash(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.b = 3.0
+        # replace re-validates and converts, like the constructor
+        moved = dataclasses.replace(cfg, theta=np.int64(1))
+        assert type(moved.theta) is float and moved.theta == 1.0
+        with pytest.raises(ValueError, match=r"^t_lr must be >= 0, got -1.0$"):
+            dataclasses.replace(cfg, t_lr=-1)
+        # a pickle round trip gives an equal drive with the same field types
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg and hash(back) == hash(cfg) and repr(back) == repr(cfg)
+        # equal drives are one lru_cache key
+        calls = []
+
+        @functools.lru_cache(maxsize=None)
+        def solve(drive):
+            calls.append(drive)
+            return drive.b
+
+        assert solve(cfg) == solve(twin) == solve(back) == 2.0
+        assert calls == [cfg]
 
     def test_phase_branch(self):
         assert DriveConfig(b=1, theta=0).phase_branch() == 0.0
