@@ -295,23 +295,29 @@ def cmd_berry(args) -> tuple[tuple, dict]:
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
     cfg0 = _config_from(args)
     adiabatic = args.regime == "adiabatic"
+    if adiabatic:
+        geometry._require_wilson_steps(args.n_steps)  # before any eigensolve
+
+    def band_vectors(ths):
+        """Labelled eigenvectors (rows, 4, 4 labels); adiabatic ones at varphi = 0."""
+        if adiabatic:
+            return geometry._adiabatic_band_states(cfg0, ths, [0.0])[0][:, 0]
+        return geometry._rotating_band_vectors(cfg0, ths)[0]
+
+    # one labelled pass serves all rows; if a row fails, each row is solved alone
     sweep = None
-    if not adiabatic:
-        # one labelled pass serves all rows; if a row fails, each row is solved alone
-        with suppress(DrivenSpinError):
-            sweep, _ = geometry._rotating_band_vectors(cfg0, thetas)
+    with suppress(DrivenSpinError):
+        sweep = band_vectors(thetas)
     rows = []
     worst = wilson_gap = 0.0
     for i, th in enumerate(thetas):
         cfg = replace(cfg0, theta=float(th))
         row, err = [cfg.theta], None
-        try:  # one labelled solve of this row serves all four bands
+        try:  # the sweep's row, or this row solved alone, serves all four bands
+            solved = sweep[i] if sweep is not None else band_vectors(thetas[i : i + 1])[0]
             if adiabatic:
-                solved = geometry._wilson_band_phases(cfg, args.n_steps)
+                solved = geometry._loop_band_phases(solved, args.n_steps)
                 wilson_gap = max(wilson_gap, *(gap for _, gap in solved.values()))
-            else:  # the sweep's row, or this row solved alone
-                solved = (sweep[i] if sweep is not None else
-                          geometry._rotating_band_vectors(cfg, np.array([cfg.theta]))[0][0])
         except DrivenSpinError as exc:
             rows.append(row + [None] * 3 * len(LABELS) + [type(exc).__name__])
             continue
@@ -540,6 +546,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse validation or --help
         return int(exc.code or 0)
     try:
+        for flag in ("--theta-min", "--theta-max"):
+            value = getattr(args, flag[2:].replace("-", "_"), 0.0)
+            if not 0.0 <= value <= math.pi:  # nan included
+                raise ValueError(f"argument {flag}: must lie in [0, pi], got {value}")
         _emit(args, *args.handler(args))
     except DrivenSpinError as exc:
         print(_error_record(type(exc).__name__, str(exc)), file=sys.stderr)

@@ -120,11 +120,13 @@ class CyclicSystem:
             raise ValueError(f"n_panels must be even and >= 2, got {n}")
         es = self.eig
         times = np.linspace(0.0, self.period, n + 1)
-        # psi_rot(t) = V exp(-i E t) V^H psi(0), vectorized over t
-        coeff = es.vectors.conj().T @ vec
-        psi_rot = (np.exp(-1j * np.outer(times, es.values)) * coeff) @ es.vectors.T
-        h0 = _lab_hamiltonian(self.cfg)
-        expval = np.real(np.einsum("ti,ij,tj->t", np.conj(psi_rot), h0, psi_rot))
+        # psi_rot(t) = V a(t) with a(t) = exp(-i E t) V^H psi(0), so the
+        # integrand <psi_rot|H(0)|psi_rot> is a^H G a with G = V^H H(0) V
+        a = np.exp(-1j * np.outer(es.values, times))
+        a *= (es.vectors.conj().T @ vec)[:, None]
+        ga = es.vectors.conj().T @ _lab_hamiltonian(self.cfg) @ es.vectors @ a
+        ga *= np.conj(a, out=a)
+        expval = ga.sum(axis=0).real
         weights = np.ones(n + 1)
         weights[1:-1:2] = 4.0
         weights[2:-1:2] = 2.0

@@ -281,22 +281,33 @@ def _carried_loop_phases(vectors, n: int) -> list:
     return [fold_phase(-(n * a + math.pi)) for a in np.angle(link)]
 
 
-@lru_cache(maxsize=128)
-def _wilson_band_phases(cfg: DriveConfig, n_steps: int):
-    """Richardson-extrapolated Wilson-loop phases of all four bands at cfg.theta.
-
-    The raw loop converges as O(1/n^2); phases are evaluated on nested
-    loops of n_steps/2, n_steps and 2*n_steps points and extrapolated
-    pairwise.  One call solves one matrix, at varphi = 0, for all four
-    bands; the spectrum does not depend on varphi, and each loop of its
-    labelled eigenstates is read from one link (``_carried_loop_phases``).
-    Returns {label: (phase, convergence_gap)} where convergence_gap is the
-    circular distance between the two extrapolated values, which
-    ``_converged`` checks.
-    """
+def _require_wilson_steps(n_steps: int) -> None:
     if n_steps < 64 or n_steps % 2:
         raise ValueError(f"n_steps must be even and >= 64, got {n_steps}")
+
+
+@lru_cache(maxsize=128)
+def _wilson_band_phases(cfg: DriveConfig, n_steps: int):
+    """``_loop_band_phases`` at cfg.theta, from one labelled solve of one
+    matrix at varphi = 0 for all four bands (the spectrum does not depend on
+    varphi).  A sweep of rows solves them in one stack and calls
+    ``_loop_band_phases`` per row itself."""
+    _require_wilson_steps(n_steps)
     v = _adiabatic_band_states(cfg, np.array([cfg.theta]), [0.0])[0][0, 0]
+    return _loop_band_phases(v, n_steps)
+
+
+def _loop_band_phases(v, n_steps: int) -> dict:
+    """Richardson-extrapolated Wilson-loop phases {label: (phase, convergence_gap)}
+    of the loops carried from labelled varphi = 0 eigenvectors v (4 components,
+    4 labels).
+
+    The raw loop converges as O(1/n^2); phases are evaluated on nested
+    loops of n_steps/2, n_steps and 2*n_steps points, each read from one
+    link (``_carried_loop_phases``), and extrapolated pairwise.
+    convergence_gap is the circular distance between the two extrapolated
+    values, which ``_converged`` checks.
+    """
     g_half, g_base, g_fine = [_carried_loop_phases(v, m * n_steps // 2) for m in (1, 2, 4)]
 
     def richardson(lo, hi):

@@ -587,19 +587,61 @@ def test_berry_nonadiabatic_diagonalizes_once(eigh_calls, capsys):
     assert calls == [(50, 4, 4)]
 
 
+def test_berry_adiabatic_diagonalizes_once(eigh_calls, capsys):
+    assert main("berry --b 2 --t-lr 0.6 --phi pi".split()) == 0
+    capsys.readouterr()
+    assert eigh_calls == [(50, 1, 4, 4)]
+
+
 def test_berry_adiabatic_solves_each_row_once(eigh_calls, capsys):
-    """One labelled Wilson-loop solve per adiabatic row serves its four bands,
-    also when the row fails and no result is cached."""
+    """After the sweep fails, one labelled Wilson-loop solve per adiabatic row
+    serves its four bands, also when the row fails and no result is cached."""
     geometry._wilson_band_phases.cache_clear()
     assert main("berry --b 2 --t-lr 0.6 --phi pi --theta-steps 7 --n-steps 128".split()) == 0
     assert json.loads(capsys.readouterr().out)["diagnostics"]["failed_rows"] == 1
-    assert eigh_calls == [(1, 1, 4, 4)] * 7
+    assert eigh_calls == [(7, 1, 4, 4)] + [(1, 1, 4, 4)] * 7
     eigh_calls.clear()
     # decoupled sites: every row is a DegenerateGap
     assert main("berry --b 2 --t-lr 0 --theta-steps 3 --n-steps 128".split()) == 0
     rows = json.loads(capsys.readouterr().out)["results"]["rows"]
     assert [row[-1] for row in rows] == ["DegenerateGap"] * 3
-    assert eigh_calls == [(1, 1, 4, 4)] * 3
+    assert eigh_calls == [(3, 1, 4, 4)] + [(1, 1, 4, 4)] * 3
+
+
+@pytest.mark.parametrize("n_steps", ["63", "32"])
+def test_berry_n_steps_refused_before_the_sweep(eigh_calls, capsys, n_steps):
+    code, out, err = run_cli(capsys, "berry", "--b", "2", "--t-lr", "0.6", "--n-steps", n_steps)
+    assert (code, out, eigh_calls) == (2, "", [])
+    assert json.loads(err)["error"] == {
+        "name": "ValidationError",
+        "message": f"n_steps must be even and >= 64, got {n_steps}",
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("regime", ["adiabatic", "nonadiabatic"])
+@pytest.mark.parametrize(
+    "bounds,flag,value",
+    [
+        ("--theta-min inf", "--theta-min", "inf"),
+        ("--theta-max inf --theta-steps 1", "--theta-max", "inf"),
+        ("--theta-min -1.7e308 --theta-max 1.7e308", "--theta-min", "-1.7e+308"),
+        ("--theta-max nan", "--theta-max", "nan"),
+        ("--theta-max 4", "--theta-max", "4.0"),
+        ("--theta-min -1", "--theta-min", "-1.0"),
+    ],
+)
+def test_berry_theta_range_refused_before_the_sweep(eigh_calls, capsys, regime, bounds,
+                                                     flag, value):
+    code, out, err = run_cli(
+        capsys, "berry", "--b", "2", "--t-lr", "0.6", "--omega", "1.5", "--regime", regime,
+        *bounds.split(),
+    )
+    assert (code, out, eigh_calls) == (2, "", [])
+    assert err.count("\n") == 1 and json.loads(err)["error"] == {
+        "name": "ValidationError",
+        "message": f"argument {flag}: must lie in [0, pi], got {value}",
+    }
 
 
 def _per_band_berry_row(cfg0, theta, n_steps=None):
