@@ -38,13 +38,14 @@ lattice route reads the closed-form energy order at the poles;
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import AmbiguousMatch, DegenerateGap, NonConverged, OnTransition
+from .errors import AmbiguousMatch, DegenerateGap, DrivenSpinError, NonConverged, OnTransition
 from .qmodel import (
     LABELS,
     SZ_TOTAL_DIAG,
@@ -179,13 +180,16 @@ def lattice_flux(states: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"states need at least 2 theta rows and 1 varphi column, got shape {states.shape}"
         )
-    # links along varphi (wrapping) and along theta
-    links_p = np.einsum(
-        "ijk...,ijk...->ij...", np.conj(states), np.roll(states, -1, axis=1)
+    conj = np.conj(states)
+    # links along varphi, the wrapping one from the last column apart, and along theta
+    links_p = np.concatenate(
+        [
+            np.einsum("ijk...,ijk...->ij...", conj[:, :-1], states[:, 1:]),
+            np.einsum("ik...,ik...->i...", conj[:, -1], states[:, 0])[:, None],
+        ],
+        axis=1,
     )
-    links_t = np.einsum(
-        "ijk...,ijk...->ij...", np.conj(states[:-1]), states[1:]
-    )
+    links_t = np.einsum("ijk...,ijk...->ij...", conj[:-1], states[1:])
     plaq = _plaquettes(links_p, links_t, np.roll(links_t, -1, axis=1))
     return np.sum(np.angle(plaq), axis=(0, 1)) / (2.0 * math.pi)
 
@@ -290,10 +294,15 @@ def _require_wilson_steps(n_steps: int) -> None:
 def _wilson_band_phases(cfg: DriveConfig, n_steps: int):
     """``_loop_band_phases`` at cfg.theta, from one labelled solve of one
     matrix at varphi = 0 for all four bands (the spectrum does not depend on
-    varphi).  A sweep of rows solves them in one stack and calls
-    ``_loop_band_phases`` per row itself."""
+    varphi), or the DrivenSpinError that solve raised: the cache keeps a
+    failure too, so a failing loop is solved once for all its bands.  A sweep
+    of rows solves them in one stack and calls ``_loop_band_phases`` per row
+    itself."""
     _require_wilson_steps(n_steps)
-    v = _adiabatic_band_states(cfg, np.array([cfg.theta]), [0.0])[0][0, 0]
+    try:
+        v = _adiabatic_band_states(cfg, np.array([cfg.theta]), [0.0])[0][0, 0]
+    except DrivenSpinError as exc:
+        return exc
     return _loop_band_phases(v, n_steps)
 
 
@@ -359,6 +368,8 @@ def berry_phase_wilson(
         Away from the phi in {0, pi} branches, before the bands are labelled.
     """
     phases = _wilson_band_phases(replace(cfg, theta=float(theta)), n_steps)
+    if isinstance(phases, DrivenSpinError):
+        raise copy.copy(phases)  # a fresh error per call, as if solved again
     return _converged(*phases[StateLabel(*label)])
 
 

@@ -1,7 +1,10 @@
 """Hermitian diagonalization, closed-form energies and band labeling.
 
-The eigensolver is LAPACK ``eigh`` (through numpy) applied to a whole
-stack of 4x4 problems at once, followed by a deterministic gauge fix; it
+The eigensolver ``eigh_stack`` takes a whole stack of 4x4 problems at once.
+A stack of at least _SECTOR_MIN matrices that commutes with a site exchange
+(checked on its entries, to roundoff) is solved as two 2x2 sector blocks per
+matrix; every other stack, one-matrix solves among them, goes to LAPACK
+``eigh`` (through numpy).  A deterministic gauge fix follows either way.  It
 reads no closed form, so it stays an independent route to the spectra.
 
 The one band-labeling rule, ``_label_bands``, lives here too; it names one
@@ -11,6 +14,7 @@ spectrum or a grid of spectra by (m1, m2).  Every closed form, here and in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,15 +51,21 @@ def require_hermitian(h: np.ndarray) -> None:
 def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a stack of 4x4 complex Hermitian matrices.
 
-    LAPACK ``eigh`` diagonalizes the whole stack in one call; each
-    eigenvector is then gauged so its largest-magnitude component is real
-    positive, which makes the output a deterministic function of the input.
+    A stack of at least _SECTOR_MIN matrices that commutes with a site
+    exchange, by the check of ``_sector_eigh``, is solved as two 2x2 sector
+    blocks per matrix.  Every other stack, one-matrix solves among them,
+    goes to LAPACK ``eigh`` in one call.  Each eigenvector is then gauged so
+    its largest-magnitude component is real positive, which makes the output
+    a deterministic function of the input.  Either route solves the matrix
+    it is given and reads no closed form, so it stays an independent route
+    to the spectra.
 
     Parameters
     ----------
     h : ndarray, shape (..., 4, 4)
         Hermitian input; hermiticity is the caller's responsibility here
-        (the public ``eigensystem`` checks it).
+        (the public ``eigensystem`` checks it).  Both routes read only the
+        lower triangle and the real part of the diagonal.
 
     Returns
     -------
@@ -74,15 +84,114 @@ def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if hm.shape[-2:] != (4, 4):
         raise ValueError(f"expected trailing shape (4, 4), got {hm.shape}")
     _require_finite(hm)
+    if hm.size >= 16 * _SECTOR_MIN:
+        stack = hm.reshape(-1, 4, 4)
+        values, vectors = np.empty(stack.shape[:-1]), np.empty(stack.shape, dtype=complex)
+        # if one chunk does not commute, the whole stack goes to LAPACK
+        chunks = [slice(i, i + _SECTOR_CHUNK) for i in range(0, len(stack), _SECTOR_CHUNK)]
+        if all(_sector_eigh(stack[c], values[c], vectors[c]) for c in chunks):
+            return values.reshape(hm.shape[:-1]), vectors.reshape(hm.shape)
     try:
         values, vectors = np.linalg.eigh(hm)
     except np.linalg.LinAlgError as exc:
         raise NonConverged(f"LAPACK eigh failed: {exc}") from exc
-    # Gauge fix: largest-magnitude component of each column real positive
-    # (it has modulus >= 1/2 in a unit vector, so the division is safe).
+    _gauge(vectors)
+    return values, vectors
+
+
+def _gauge(vectors):
+    """Make the largest-magnitude component of each column real positive, in
+    place; of equal magnitudes the first wins.  It has modulus >= 1/2 in a
+    unit vector, so the division is safe."""
     idx = np.argmax(np.abs(vectors), axis=-2)
     lead = np.take_along_axis(vectors, idx[..., None, :], axis=-2)
-    return values, vectors * (np.conj(lead) / np.abs(lead))
+    vectors *= np.conj(lead) / np.abs(lead)
+
+
+#: Smallest stack that ``eigh_stack`` solves by sector blocks.  The sector
+#: solve costs some 40 array operations whatever the stack size, so below
+#: this measured crossover one LAPACK call is faster.
+_SECTOR_MIN = 64
+
+#: Matrices per sector solve: a chunk's temporaries, 128 KiB an array, stay
+#: in cache (the measured optimum; a 26,000-matrix stack takes 0.6x as long
+#: as in one piece).
+_SECTOR_CHUNK = 2048
+
+#: A matrix counts as commuting with a site exchange when the part its
+#: sector blocks drop is at most this multiple of max|H|: roundoff.
+_SECTOR_TOL = 8.0 * np.finfo(float).eps
+
+# flat positions of the lower triangle, row by row: h00 h10 h11 h20 ... h33
+_LOWER = np.flatnonzero(np.tri(4, dtype=bool))
+
+
+def _sector_eigh(hm, values, vectors):
+    """Write the eigenpairs of a stack hm (n, 4, 4) that commutes with a site
+    exchange into values (n, 4) and vectors (n, 4, 4), gauged as
+    ``eigh_stack`` returns them, and return True; return False, writing
+    nothing, if the stack does not commute.
+
+    The exchange is P = tau_x (x) S, with S = 1 in phase and sigma_z
+    anti-phase.  In site blocks H = [[A, C^dag], [C, D]] commutes with P
+    iff D = S A S and C = S C^dag S; the P = p sector then holds the 2x2
+    block A + p C^dag S on the vectors (u, p S u) / sqrt(2).  The blocks
+    are those of H's P-symmetric part, and a stack is refused unless the
+    dropped part of every matrix is within _SECTOR_TOL * max|H|, max|H|
+    taken over the real and imaginary parts.  Each matrix is scaled by the
+    power of two that takes max|H| into [1/2, 1), as LAPACK ``zheevd``
+    scales, so no intermediate overflows.
+    """
+    n = len(hm)
+    low = np.take(hm.reshape(n, 16), _LOWER, axis=-1)
+    amax = np.max(np.abs(low.view(float)), axis=-1)
+    expo = np.clip(np.frexp(amax)[1], -1021, 1024)
+    low *= np.ldexp(1.0, -expo)[:, None]
+    amax = np.ldexp(amax, -expo)
+    h00, h10, h11, h20, h21, h22, h30, h31, h32, h33 = low.T
+    h00, h11, h22, h33 = h00.real, h11.real, h22.real, h33.real
+    # twice the dropped part, entry by entry
+    common = np.maximum.reduce(
+        [np.abs(h00 - h22), np.abs(h11 - h33), 2.0 * np.abs(h20.imag), 2.0 * np.abs(h31.imag)]
+    )
+    for s in (1.0, -1.0):
+        dropped = np.maximum(common, np.abs(h10 - s * h32))
+        np.maximum(dropped, np.abs(np.conj(h21) - s * h30), out=dropped)
+        if np.all(dropped <= 2.0 * _SECTOR_TOL * amax):
+            break
+    else:
+        return False
+    # the blocks [[alpha, conj(gamma)], [gamma, delta]] of p = +1, -1 (last axis)
+    p = np.array([1.0, -1.0])
+    alpha = (0.5 * (h00 + h22))[:, None] + p * h20.real[:, None]
+    delta = (0.5 * (h11 + h33))[:, None] + p * (s * h31.real)[:, None]
+    gamma = (0.5 * (h10 + s * h32))[:, None] + p * (0.5 * (np.conj(h21) + s * h30))[:, None]
+    half, mid, mag = 0.5 * (alpha - delta), 0.5 * (alpha + delta), np.abs(gamma)
+    r = np.hypot(half, mag)
+    # The levels mid -/+ r have the unit vectors (-conj(w) y, x) and (x, w y),
+    # w = gamma / |gamma|, where (x, y) is (g, |gamma|) / hypot(g, |gamma|),
+    # g = |half| + r, or its swap where half < 0: no cancellation either way.
+    g = np.abs(half) + r
+    g[g == 0.0] = 1.0  # g = 0 only where gamma = 0: then (x, y) is (1, 0)
+    norm = math.sqrt(2.0) * np.hypot(g, mag)  # sqrt(2) of (u, p S u) / sqrt(2)
+    x, y = np.where(half >= 0.0, g, mag) / norm, np.where(half >= 0.0, mag, g) / norm
+    # w in real arithmetic: a complex division by a subnormal |gamma| overflows
+    w = np.ones_like(gamma)
+    np.divide(gamma.real, mag, out=w.real, where=mag > 0.0)
+    np.divide(gamma.imag, mag, out=w.imag, where=mag > 0.0)
+    # rows 0 and 1 of the columns lo+, lo-, hi+, hi-, merged into ascending order
+    levels = np.concatenate([mid - r, mid + r], axis=-1)
+    order = np.argsort(levels, axis=-1, kind="stable")
+    top = np.empty((n, 2, 4), dtype=complex)
+    top[:, 0, :2], top[:, 0, 2:] = -np.conj(w) * y, x
+    top[:, 1, :2], top[:, 1, 2:] = x, w * y
+    top = np.take_along_axis(top, order[:, None, :], axis=-1)
+    _gauge(top)  # rows 2 and 3 are +-rows 0 and 1, so these are the leads
+    sign = np.array([[1.0], [s]]) * np.tile(p, 2)[order][:, None, :]
+    np.concatenate([top, top * sign], axis=1, out=vectors)
+    with np.errstate(over="ignore"):  # a spectrum wider than the float range is inf
+        np.ldexp(np.take_along_axis(levels, order, axis=-1), expo[:, None], out=values)
+    return True
 
 
 @dataclass(frozen=True)

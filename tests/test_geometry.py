@@ -113,6 +113,26 @@ class TestWilson:
         info = cache.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
+    def test_failing_loop_is_solved_once(self, monkeypatch):
+        # t_lr = 0: the bands are degenerate, so every band's loop fails the
+        # same labelled solve, which the cache keeps; each call raises afresh
+        solves = []
+        real = geometry.eigh_stack
+        monkeypatch.setattr(geometry, "eigh_stack", lambda h: solves.append(h) or real(h))
+        geometry._wilson_band_phases.cache_clear()
+        cfg = DriveConfig(b=2.0, theta=1.0, t_lr=0.0)
+        raised = []
+        for lab in LABELS:
+            with pytest.raises(DegenerateGap) as info:
+                berry_phase_wilson(cfg, 1.0, lab, n_steps=128)
+            raised.append(info.value)
+        geometry._wilson_band_phases.cache_clear()
+        assert len(solves) == 1
+        assert len({id(exc) for exc in raised}) == 4
+        assert {str(exc) for exc in raised} == {
+            "eigenvalue gap 0.000e+00 below 2.0e-06 at grid point theta=1.000000, varphi=0.000000"
+        }
+
     def test_raw_loop_second_order(self):
         # the plain overlap product converges as O(1/n^2)
         cfg = anti_phase(t_lr=0.6, theta=0.9)
@@ -486,8 +506,9 @@ class TestChernBlocks:
             (2.0, 0.0, -math.pi, 200, "nonadiabatic"),
             # t_lr / b ~ 1e8: eigh misses the closed form by more than 1e-8 b
             (1.0, 3e8, -math.pi, 200, "adiabatic"),
-            (2.0, 1e9, 0.0, 200, "adiabatic"),
             (0.5, 5e8, 0.0, 200, "nonadiabatic"),
+            # t_lr / b ~ 1e12: so does the sector solve, by an ulp of t_lr
+            (0.7, 1e12, 0.0, 200, "adiabatic"),
         ],
     )
     def test_failure_is_the_whole_grids(self, b, t_lr, phi_r, n_theta, regime):
@@ -496,6 +517,14 @@ class TestChernBlocks:
         blocked = _outcome(lambda: chern_lattice(cfg, n_theta, 40, regime))
         single = _outcome(lambda: _single_pass_chern(cfg, n_theta, 40, regime))
         assert isinstance(blocked, tuple) and blocked == single
+
+    def test_sector_solve_resolves_large_in_phase_tunneling(self):
+        # t_lr / b = 5e8 in phase: LAPACK missed the levels +-t_lr +-b/2 by
+        # 1.7e-6 > 1e-8 b (AmbiguousMatch); the sector blocks give them exactly
+        cfg = DriveConfig(b=2.0, theta=0.0, t_lr=1e9)
+        report = chern_lattice(cfg, 200, 40, "adiabatic")
+        assert report.c1 == {lab: chern_closed(cfg, lab, "adiabatic") for lab in LABELS}
+        assert list(report.c1.values()) == [1, 1, -1, -1]
 
     def test_memory_does_not_grow_with_rows(self):
         def traced_peak(cfg, n_theta, regime):

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from drivenspin import (
     eigh_stack,
     label_eigenstates,
 )
+from drivenspin import spectra
 from drivenspin.qmodel import _lab_hamiltonian, _rotating_hamiltonian
-from drivenspin.spectra import DEGENERACY_FACTOR, _closed_energy_table
+from drivenspin.spectra import _SECTOR_MIN, DEGENERACY_FACTOR, _closed_energy_table
 
 
 def random_hermitian(rng, n):
@@ -92,6 +94,106 @@ def test_non_finite_input_named_error_no_warning(solver, bad):
 def test_eigh_stack_refuses_a_stack_not_4x4():
     with pytest.raises(ValueError, match=r"trailing shape \(4, 4\), got \(2, 3, 3\)$"):
         eigh_stack(np.zeros((2, 3, 3)))
+
+
+EPS = np.finfo(float).eps
+
+
+def solve_and_route(h):
+    """eigh_stack(h), and whether the sector solve took the whole stack."""
+    taken = []
+    real = spectra._sector_eigh
+
+    def recording(*args):
+        taken.append(real(*args))
+        return taken[-1]
+
+    with mock.patch.object(spectra, "_sector_eigh", recording):
+        values, vectors = eigh_stack(h)
+    return values, vectors, bool(taken) and all(taken)
+
+
+def lapack_reference(h):
+    """The LAPACK route written out: numpy's eigh, then the gauge rule."""
+    values, vectors = np.linalg.eigh(h)
+    idx = np.argmax(np.abs(vectors), axis=-2)
+    lead = np.take_along_axis(vectors, idx[..., None, :], axis=-2)
+    return values, vectors * (np.conj(lead) / np.abs(lead))
+
+
+class TestSectorSolve:
+    """Stacks of at least _SECTOR_MIN drive Hamiltonians commute with a site
+    exchange and are solved as two 2x2 sector blocks; every other stack is
+    LAPACK's, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(1e-3, 1e3),
+        st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+        st.sampled_from([0.0, math.pi]),
+        st.sampled_from(["lab", "rotating"]),
+        st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+        st.floats(-10.0, 10.0),
+        st.integers(_SECTOR_MIN, 3 * _SECTOR_MIN),
+    )
+    def test_matches_the_lapack_oracle(self, b, t_lr, phi, frame, omega, phi_l, n_theta):
+        # theta rows from pole to pole, with the anti-phase equator crossing
+        thetas = np.append(np.linspace(0.0, math.pi, n_theta), math.pi / 2)
+        cfg = DriveConfig(b=b, theta=0.0, phi_l=phi_l, phi_r=phi_l - phi, omega=omega, t_lr=t_lr)
+        if frame == "lab":
+            h = _lab_hamiltonian(cfg, thetas[:, None], np.array([0.0, 2.5]))
+        else:
+            h = _rotating_hamiltonian(cfg, thetas)
+        values, vectors, by_sectors = solve_and_route(h)
+        assert by_sectors
+        # max|H| per matrix; at omega = b a rotating pole matrix is 0
+        scale = np.max(np.abs(h), axis=(-2, -1))[..., None]
+        assert np.all(np.diff(values, axis=-1) >= 0.0)
+        assert np.all(np.abs(values - np.linalg.eigvalsh(h)) <= 32 * EPS * scale)
+        recon = np.einsum("...ik,...k,...jk->...ij", vectors, values, np.conj(vectors))
+        assert np.all(np.abs(recon - h) <= 16 * EPS * scale[..., None])
+        gram = np.einsum("...ji,...jk->...ik", np.conj(vectors), vectors)
+        assert np.max(np.abs(gram - np.eye(4))) < 16 * EPS
+        # the gauge rule: a largest-magnitude component is real positive (the
+        # gauge's own rounding can tip a tie of magnitudes by an ulp)
+        mags = np.abs(vectors)
+        leads = mags >= np.max(mags, axis=-2, keepdims=True) - 1e-15
+        real_positive = (vectors.real > 0.0) & (np.abs(vectors.imag) <= 1e-15)
+        assert np.all(np.any(leads & real_positive, axis=-2))
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            # phi_l - phi_r = 1e-10: the in-phase branch within PHASE_BRANCH_TOL,
+            # but no exchange commutes with it to roundoff
+            lambda: _lab_hamiltonian(
+                DriveConfig(b=2.0, theta=0.0, phi_r=1e-10, t_lr=0.4),
+                np.linspace(0.0, math.pi, 64)[:, None],
+                np.linspace(0.0, 2 * math.pi, 40)[None, :],
+            ),
+            lambda: random_hermitian(np.random.default_rng(21), 4 * _SECTOR_MIN),
+            # a commuting stack one matrix below the size rule
+            lambda: _rotating_hamiltonian(
+                DriveConfig(b=2.0, theta=0.0, phi_r=-math.pi, omega=1.5, t_lr=0.45),
+                np.linspace(0.0, math.pi, _SECTOR_MIN - 1),
+            ),
+            # a whole commuting chunk, then a chunk that commutes with no exchange
+            lambda: np.concatenate([
+                _rotating_hamiltonian(
+                    DriveConfig(b=2.0, theta=0.0, phi_r=-math.pi, omega=1.5, t_lr=0.45),
+                    np.linspace(0.0, math.pi, spectra._SECTOR_CHUNK),
+                ),
+                random_hermitian(np.random.default_rng(22), 1),
+            ]),
+        ],
+        ids=["off_branch_1e-10", "random_hermitian", "below_sector_min", "last_chunk_off"],
+    )
+    def test_other_stacks_are_lapacks_bit_for_bit(self, stack):
+        h = stack()
+        values, vectors, by_sectors = solve_and_route(h)
+        assert not by_sectors
+        want_values, want_vectors = lapack_reference(h)
+        assert np.array_equal(values, want_values) and np.array_equal(vectors, want_vectors)
 
 
 class TestClosedForms:
