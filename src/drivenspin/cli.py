@@ -19,7 +19,6 @@ import json
 import math
 import re
 import sys
-from contextlib import suppress
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +27,7 @@ from . import geometry, phasescan
 from .errors import DrivenSpinError, NonConverged
 from .evolution import CyclicSystem, _rk4_error_estimate, propagator_rk4
 from .qmodel import LABELS, DriveConfig, StateLabel, _rotating_hamiltonian
-from .spectra import _closed_energy_table, band_order, eigh_stack
+from .spectra import _closed_energy_table, _sector_roots, band_order, eigh_stack
 
 SCHEMA_VERSION = 1
 
@@ -125,6 +124,9 @@ _PARAM_KEYS = (
 _BLOCK_ROWS = 4096
 
 
+# One cache serves all the sequence columns of a block, because columns repeat
+# each other's values: the README `spectrum`'s 1800 cells hold about 920
+# distinct values, while a cache per column would format all 1800.
 class _Texts(dict):
     """``cell(value)`` of one block's values, each distinct value computed once.
 
@@ -263,10 +265,6 @@ def _config_from(args) -> DriveConfig:
     return cfg
 
 
-def _label_columns(stem: str) -> list[str]:
-    return [f"{stem}_{lab}" for lab in map(str, LABELS)]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -286,14 +284,16 @@ def cmd_spectrum(args) -> tuple[tuple, dict]:
     numeric = np.take_along_axis(values, band_order(closed), axis=-1)
     deviation = float(np.max(np.abs(numeric - closed)))
     columns = np.column_stack([thetas, numeric, closed]).T.tolist()
-    header = ["theta"] + _label_columns("num") + _label_columns("closed")
+    header = ["theta", *(f"{stem}_{lab}" for stem in ("num", "closed") for lab in LABELS)]
     return (header, columns), {"max_num_closed_deviation": deviation}
 
 
 def cmd_berry(args) -> tuple[tuple, dict]:
-    """Geometric-phase curves vs theta: numerical route, closed form, difference."""
+    """Geometric-phase curves vs theta: numerical route, closed form, difference,
+    as arrays over all rows and bands; a row names the last band that failed
+    (the numerical route's NonConverged first), or the error of its own solve."""
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
-    cfg0 = _config_from(args)
+    cfg = _config_from(args)
     adiabatic = args.regime == "adiabatic"
     if adiabatic:
         geometry._require_wilson_steps(args.n_steps)  # before any eigensolve
@@ -301,49 +301,44 @@ def cmd_berry(args) -> tuple[tuple, dict]:
     def band_vectors(ths):
         """Labelled eigenvectors (rows, 4, 4 labels); adiabatic ones at varphi = 0."""
         if adiabatic:
-            return geometry._adiabatic_band_states(cfg0, ths, [0.0])[0][:, 0]
-        return geometry._rotating_band_vectors(cfg0, ths)[0]
+            return geometry._adiabatic_band_states(cfg, ths, [0.0])[0][:, 0]
+        return geometry._rotating_band_vectors(cfg, ths)[0]
 
-    # one labelled pass serves all rows; if a row fails, each row is solved alone
-    sweep = None
-    with suppress(DrivenSpinError):
-        sweep = band_vectors(thetas)
-    rows = []
-    worst = wilson_gap = 0.0
-    for i, th in enumerate(thetas):
-        cfg = replace(cfg0, theta=float(th))
-        row, err = [cfg.theta], None
-        try:  # the sweep's row, or this row solved alone, serves all four bands
-            solved = sweep[i] if sweep is not None else band_vectors(thetas[i : i + 1])[0]
-            if adiabatic:
-                solved = geometry._loop_band_phases(solved, args.n_steps)
-                wilson_gap = max(wilson_gap, *(gap for _, gap in solved.values()))
-        except DrivenSpinError as exc:
-            rows.append(row + [None] * 3 * len(LABELS) + [type(exc).__name__])
-            continue
-        for k, lab in enumerate(LABELS):
+    # error names by code: 0 to 2 as in geometry._sector_roots, then failed solves
+    names = [None, "DegenerateGap", "NonConverged"]
+    solve_codes = np.zeros(len(thetas), dtype=int)
+    try:  # one labelled pass serves all rows; if a row fails, each row is solved alone
+        vectors = band_vectors(thetas)
+    except DrivenSpinError:
+        vectors = np.zeros((len(thetas), 4, 4), dtype=complex)
+        for i in range(len(thetas)):
             try:
-                if adiabatic:
-                    numeric = geometry._converged(*solved[lab])
-                    closed = geometry.berry_phase_closed(cfg, cfg.theta, lab)
-                else:
-                    numeric = geometry.fold_phase(2.0 * math.pi * geometry._sz_total(solved[:, k]))
-                    closed = geometry.aa_phase_closed(cfg, lab)
-                diff = geometry.circular_distance(numeric, closed)
-                worst = max(worst, diff)
-                row += [numeric, closed, diff]
+                vectors[i] = band_vectors(thetas[i : i + 1])[0]
             except DrivenSpinError as exc:
-                err = type(exc).__name__
-                row += [None, None, None]
-        rows.append(row + [err])
-    header = ["theta"]
-    for lab in map(str, LABELS):
-        header += [f"num_{lab}", f"closed_{lab}", f"circdiff_{lab}"]
-    header.append("error")
-    columns = list(map(list, zip(*rows)))
-    failed = len(rows) - columns[-1].count(None)
-    extra = {"max_wilson_convergence_gap": wilson_gap} if adiabatic else {}
-    return (header, columns), {"max_circular_difference": worst, "failed_rows": failed, **extra}
+                names.append(type(exc).__name__)
+                solve_codes[i] = len(names) - 1
+    closed, codes = geometry._closed_phases(args.regime, *_sector_roots(cfg, args.regime, thetas))
+    extra = {}
+    if adiabatic:
+        numeric, gaps = geometry._loop_band_phases(vectors, args.n_steps)
+        codes[gaps > geometry.WILSON_CONV_TOL] = 2  # before the closed form's failure
+        gap = np.max(gaps, where=solve_codes[:, None] == 0, initial=0.0)
+        extra["max_wilson_convergence_gap"] = float(gap)
+    else:
+        numeric = geometry.fold_phase(2.0 * math.pi * geometry._sz_total(vectors.swapaxes(1, 2)))
+    codes = np.maximum(codes, solve_codes[:, None])  # a failed solve's code exceeds 2
+    diff = geometry.circular_distance(numeric, closed)
+    cells = np.stack([numeric, closed, diff], axis=-1).astype(object)
+    cells[codes != 0] = None
+    # a row's code is its last failing band's (argmax finds none as column 3, code 0)
+    row_codes = codes[np.arange(len(codes)), 3 - np.argmax(codes[:, ::-1] != 0, axis=-1)]
+    header = ["theta", *(f"{s}_{lab}" for lab in LABELS for s in ("num", "closed", "circdiff"))]
+    errors = np.array(names, dtype=object)[row_codes].tolist()
+    columns = [thetas.tolist(), *cells.reshape(len(thetas), -1).T.tolist(), errors]
+    worst = float(np.max(diff, where=codes == 0, initial=0.0))
+    failed = int(np.count_nonzero(row_codes))
+    return (header + ["error"], columns), {"max_circular_difference": worst,
+                                           "failed_rows": failed, **extra}
 
 
 def cmd_chern(args) -> tuple[tuple, dict]:

@@ -30,6 +30,7 @@ from .qmodel import (
     DriveConfig,
     StateLabel,
     _lab_hamiltonian,
+    _require_int,
     build_rotating_hamiltonian,
     rotation_about_z,
 )
@@ -115,7 +116,7 @@ class CyclicSystem:
     def dynamical_quadrature(self, label: StateLabel, n_panels: int = 10_000) -> float:
         """Co-rotating quadrature of the dynamical phase; see ``dynamical_phase_quadrature``."""
         vec = self.labeled.vector(label)
-        n = int(n_panels)
+        n = _require_int("n_panels", n_panels)
         if n < 2 or n % 2:
             raise ValueError(f"n_panels must be even and >= 2, got {n}")
         es = self.eig
@@ -203,7 +204,7 @@ def propagator_rk4(
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     _require_driven(cfg)
-    n = int(n_steps)
+    n = _require_int("n_steps", n_steps)
     if n < 1000:
         raise ValueError(f"n_steps must be at least 1000, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -14,10 +14,11 @@ choice the in-phase (phi = 0) adiabatic Chern number of band (m1, m2)
 equals +m1, and every closed-form curvature and invariant below uses the
 same orientation, so closed and numerical routes agree sign for sign.
 
-Every closed-form invariant depends on the field only through one sector
-parameter x per m2 sector: 0 or m2 lam (adiabatic), mu or Delta_m2 (cyclic),
-in phase or anti-phase, read from ``spectra._sector_parameters`` like the
-closed-form energies.  A sector is topological iff |x| < 1.
+Every closed form depends on the field only through one sector parameter
+x per m2 sector: 0 or m2 lam (adiabatic), mu or Delta_m2 (cyclic), in phase
+or anti-phase.  The phases and curvature, like the closed-form energies,
+read x and the root 1 + x^2 - 2 x cos(theta) from one kernel,
+``spectra._sector_roots``.  A sector is topological iff |x| < 1.
 
 Closed forms and lattice numerics are deliberately independent code paths:
 the lattice routines never evaluate a closed-form curvature or phase, only
@@ -52,13 +53,16 @@ from .qmodel import (
     DriveConfig,
     StateLabel,
     _lab_hamiltonian,
+    _require_int,
     _rotating_hamiltonian,
 )
-from .spectra import _label_bands, _require_regime, _sector_parameters, eigh_stack
-
-#: Below this value of sqrt(1 + x^2 - 2 x cos(theta)) a closed-form branch
-#: sits on a band touching and the corresponding quantity is undefined.
-ROOT_TOL = 1e-9
+from .spectra import (
+    _label_bands,
+    _require_regime,
+    _sector_parameters,
+    _sector_roots,
+    eigh_stack,
+)
 
 #: Transition detection tolerance for the closed-form Chern numbers.
 TRANSITION_TOL = 1e-9
@@ -70,15 +74,20 @@ WILSON_CONV_TOL = 1e-6
 DEFAULT_WILSON_STEPS = 512
 
 
-def fold_phase(x: float) -> float:
-    """Fold an angle to the principal range (-pi, pi]."""
-    y = (x + math.pi) % (2.0 * math.pi) - math.pi
-    return math.pi if y == -math.pi else y
+def fold_phase(x):
+    """Fold an angle, a float (to a float) or an array, to (-pi, pi]; inf to nan.
+    An array folds bit for bit as each float does, as np.mod rounds as % does."""
+    if np.isscalar(x):
+        y = (float(x) + math.pi) % (2.0 * math.pi) - math.pi
+        return math.pi if y == -math.pi else y
+    with np.errstate(invalid="ignore"):  # np.mod of inf is nan, as Python's % is
+        y = np.mod(np.add(x, math.pi), 2.0 * math.pi) - math.pi
+    return np.where(y == -math.pi, math.pi, y)
 
 
-def circular_distance(a: float, b: float) -> float:
-    """Distance between two angles modulo 2 pi."""
-    return abs(fold_phase(a - b))
+def circular_distance(a, b):
+    """Distance between two angles, floats or arrays, modulo 2 pi."""
+    return abs(fold_phase(np.subtract(a, b)))
 
 
 def _transition_distance(x):
@@ -107,21 +116,16 @@ def _is_topological(x: float) -> bool:
     return topological
 
 
-def _sector_root(cfg: DriveConfig, regime: str, theta: float, label: StateLabel):
-    """(m1, x, cos(theta), d) of one band, with d = 1 + x^2 - 2 x cos(theta).
-
-    Raises DegenerateGap where sqrt(d) <= ROOT_TOL, a band touching, and
-    NonConverged where d overflows.
-    """
-    m1, m2 = StateLabel(*label)
-    x = _sector_parameters(cfg, regime)[0 if m2 > 0 else 1]
-    c = math.cos(theta)
-    d = 1.0 + x * x - 2.0 * x * c
-    if math.sqrt(max(d, 0.0)) <= ROOT_TOL:
+def _band_roots(cfg: DriveConfig, regime: str, theta: float, label):
+    """(k, roots): one band's LABELS index and ``_sector_roots`` at a float
+    theta, after raising the failure that the band's code names."""
+    k = LABELS.index(StateLabel(*label))
+    roots = _sector_roots(cfg, regime, theta)
+    if roots[4][k] == 1:
         raise DegenerateGap(f"band touching at theta={theta} for label {tuple(label)}")
-    if not math.isfinite(d):
-        raise NonConverged(f"closed form overflows at |x| = {abs(x)}")
-    return m1, x, c, d
+    if roots[4][k] == 2:
+        raise NonConverged(f"closed form overflows at |x| = {abs(float(roots[1][k]))}")
+    return k, roots
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +156,7 @@ def wilson_loop_phase(states: np.ndarray) -> float:
             "a loop overlap dropped below 0.5; the loop is under-resolved "
             "or crosses a band degeneracy"
         )
-    total = -np.sum(np.angle(links), axis=0)
-    if np.ndim(total) == 0:
-        return fold_phase(float(total))
-    return np.array([fold_phase(float(t)) for t in total])
+    return fold_phase(-np.sum(np.angle(links), axis=0))
 
 
 def lattice_flux(states: np.ndarray) -> np.ndarray:
@@ -275,19 +276,21 @@ def _rotating_band_states(cfg, thetas, phis):
 # ---------------------------------------------------------------------------
 
 
-def _carried_loop_phases(vectors, n: int) -> list:
-    """Raw phases of the n-point Wilson loops carried from labelled vectors v
-    (4 components, 4 labels) at varphi = 0: every link is <v|U(2 pi / n)|v>
+def _carried_loop_phases(vectors, n: int):
+    """Raw phases (..., 4) of the n-point Wilson loops carried from labelled
+    vectors v (..., 4, 4 labels) at varphi = 0: every link is <v|U(2 pi / n)|v>
     and the closing one also carries U(-2 pi) = -1, so a band's phase is
     -(n arg(link) + pi), folded.  |link| >= cos(pi / n), so no link vanishes.
     """
     link = np.exp(-2j * math.pi * SZ_TOTAL_DIAG / n) @ (np.abs(vectors) ** 2)
-    return [fold_phase(-(n * a + math.pi)) for a in np.angle(link)]
+    return fold_phase(-(n * np.angle(link) + math.pi))
 
 
-def _require_wilson_steps(n_steps: int) -> None:
-    if n_steps < 64 or n_steps % 2:
+def _require_wilson_steps(n_steps: int) -> int:
+    """n_steps as an int, if it is an even integer of at least 64."""
+    if _require_int("n_steps", n_steps) < 64 or n_steps % 2:
         raise ValueError(f"n_steps must be even and >= 64, got {n_steps}")
+    return int(n_steps)
 
 
 @lru_cache(maxsize=128)
@@ -295,10 +298,7 @@ def _wilson_band_phases(cfg: DriveConfig, n_steps: int):
     """``_loop_band_phases`` at cfg.theta, from one labelled solve of one
     matrix at varphi = 0 for all four bands (the spectrum does not depend on
     varphi), or the DrivenSpinError that solve raised: the cache keeps a
-    failure too, so a failing loop is solved once for all its bands.  A sweep
-    of rows solves them in one stack and calls ``_loop_band_phases`` per row
-    itself."""
-    _require_wilson_steps(n_steps)
+    failure too, so a failing loop is solved once for all its bands."""
     try:
         v = _adiabatic_band_states(cfg, np.array([cfg.theta]), [0.0])[0][0, 0]
     except DrivenSpinError as exc:
@@ -306,30 +306,19 @@ def _wilson_band_phases(cfg: DriveConfig, n_steps: int):
     return _loop_band_phases(v, n_steps)
 
 
-def _loop_band_phases(v, n_steps: int) -> dict:
-    """Richardson-extrapolated Wilson-loop phases {label: (phase, convergence_gap)}
-    of the loops carried from labelled varphi = 0 eigenvectors v (4 components,
-    4 labels).
+def _loop_band_phases(vectors, n_steps: int):
+    """Richardson-extrapolated Wilson-loop (phases, convergence gaps), each
+    (..., 4), of the loops carried from labelled vectors (..., 4, 4 labels).
 
     The raw loop converges as O(1/n^2); phases are evaluated on nested
     loops of n_steps/2, n_steps and 2*n_steps points, each read from one
-    link (``_carried_loop_phases``), and extrapolated pairwise.
-    convergence_gap is the circular distance between the two extrapolated
-    values, which ``_converged`` checks.
+    link (``_carried_loop_phases``), and extrapolated pairwise.  The
+    convergence gap is the circular distance between the two extrapolated
+    values, which must not exceed WILSON_CONV_TOL.
     """
-    g_half, g_base, g_fine = [_carried_loop_phases(v, m * n_steps // 2) for m in (1, 2, 4)]
-
-    def richardson(lo, hi):
-        return np.array(
-            [fold_phase(h + fold_phase(h - l) / 3.0) for l, h in zip(lo, hi)]
-        )
-
-    r_low = richardson(g_half, g_base)
-    r_high = richardson(g_base, g_fine)
-    return {
-        LABELS[k]: (float(r_high[k]), circular_distance(r_high[k], r_low[k]))
-        for k in range(4)
-    }
+    g = np.stack([_carried_loop_phases(vectors, m * n_steps // 2) for m in (1, 2, 4)])
+    r_low, r_high = fold_phase(g[1:] + fold_phase(g[1:] - g[:-1]) / 3.0)  # pairwise
+    return r_high, circular_distance(r_high, r_low)
 
 
 def berry_phase_wilson(
@@ -355,7 +344,7 @@ def berry_phase_wilson(
     label : StateLabel
         Which band to transport.
     n_steps : int
-        Base loop resolution; must be even and at least 64.
+        Base loop resolution; an even integer of at least 64.
 
     Raises
     ------
@@ -367,18 +356,25 @@ def berry_phase_wilson(
     UnsupportedPhase
         Away from the phi in {0, pi} branches, before the bands are labelled.
     """
-    phases = _wilson_band_phases(replace(cfg, theta=float(theta)), n_steps)
+    # n_steps is checked before the cache, which would take 64.0 for 64
+    phases = _wilson_band_phases(replace(cfg, theta=float(theta)), _require_wilson_steps(n_steps))
     if isinstance(phases, DrivenSpinError):
         raise copy.copy(phases)  # a fresh error per call, as if solved again
-    return _converged(*phases[StateLabel(*label)])
-
-
-def _converged(value: float, gap: float) -> float:
-    """A band's Wilson-loop phase, or NonConverged if its gap exceeds WILSON_CONV_TOL."""
+    value, gap = (float(a[LABELS.index(StateLabel(*label))]) for a in phases)
     if gap > WILSON_CONV_TOL:
         raise NonConverged(f"Wilson loop changed by {gap:.2e} under grid doubling "
                            f"(tolerance {WILSON_CONV_TOL:.0e}); increase n_steps")
     return value
+
+
+def _closed_phases(regime: str, m1, x, c, d, code):
+    """(phases, code): the regime's closed-form geometric phases
+    (``berry_phase_closed`` or ``aa_phase_closed``) of the bands of
+    ``_sector_roots``' output, and its failure code; a failing cell's phase
+    is a placeholder."""
+    ok = code == 0
+    swing, f = m1 * (np.where(ok, x, 0.0) - c), np.sqrt(np.where(ok, d, 1.0))
+    return fold_phase(np.pi * (swing + f if regime == "adiabatic" else swing) / f), code
 
 
 def berry_phase_closed(cfg: DriveConfig, theta: float, label: StateLabel) -> float:
@@ -388,9 +384,8 @@ def berry_phase_closed(cfg: DriveConfig, theta: float, label: StateLabel) -> flo
     pi (1 - m1 cos(theta)) in phase (x = 0), independent of the tunneling,
     and renormalized by f anti-phase (x = m2 lam).
     """
-    m1, x, c, d = _sector_root(cfg, "adiabatic", theta, label)
-    f = math.sqrt(d)
-    return fold_phase(math.pi * (m1 * (x - c) + f) / f)
+    k, roots = _band_roots(cfg, "adiabatic", theta, label)
+    return float(_closed_phases("adiabatic", *roots)[0][k])
 
 
 def rotating_sz_expectation(cfg: DriveConfig, label: StateLabel) -> float:
@@ -403,9 +398,10 @@ def rotating_sz_expectation(cfg: DriveConfig, label: StateLabel) -> float:
     return _sz_total(vectors[0, :, LABELS.index(StateLabel(*label))])
 
 
-def _sz_total(vec: np.ndarray) -> float:
-    """<Sz_total> of one state vector."""
-    return float(np.real(np.vdot(vec, SZ_TOTAL_DIAG * vec)))
+def _sz_total(v):
+    """<Sz_total> of state vectors (..., 4), a float for one, rounded as ``np.vdot`` rounds."""
+    sz = np.real(np.conj(v)[..., None, :] @ (SZ_TOTAL_DIAG * v)[..., :, None])[..., 0, 0]
+    return float(sz) if sz.ndim == 0 else sz
 
 
 def aa_phase_closed(cfg: DriveConfig, label: StateLabel) -> float:
@@ -418,8 +414,8 @@ def aa_phase_closed(cfg: DriveConfig, label: StateLabel) -> float:
     connection does not.  Both values are reported by the toolkit; neither
     is silently shifted.
     """
-    m1, x, c, d = _sector_root(cfg, "nonadiabatic", cfg.theta, label)
-    return fold_phase(m1 * math.pi * (x - c) / math.sqrt(d))
+    k, roots = _band_roots(cfg, "nonadiabatic", cfg.theta, label)
+    return float(_closed_phases("nonadiabatic", *roots)[0][k])
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +432,8 @@ def curvature_closed(
     m1 (sin(theta)/2) (1 - x cos(theta)) / (1 + x^2 - 2 x cos(theta))^(3/2)
     with x the sector parameter of the band (see the module docstring).
     """
-    m1, x, c, d = _sector_root(cfg, regime, theta, label)
+    k, roots = _band_roots(cfg, regime, theta, label)
+    m1, x, c, d, _ = (float(a[k]) for a in np.broadcast_arrays(*roots))
     with np.errstate(over="ignore"):
         den = np.float64(d) ** 1.5
     if not np.isfinite(den):
@@ -538,7 +535,7 @@ def chern_lattice(
     cfg : DriveConfig
         Drive parameters; cfg.theta is ignored (theta is integrated over).
     n_theta, n_phi : int
-        Grid resolution, at least 20 each.  Even n_theta avoids placing a
+        Grid resolution, integers of at least 20 each.  Even n_theta avoids placing a
         grid row on the equator, where anti-phase bands cross.  A
         nonadiabatic grid is covariant under the drive rotation, so its
         ``c1``, ``min_gap`` and error name do not depend on n_phi.
@@ -556,12 +553,13 @@ def chern_lattice(
     UnsupportedPhase
         Away from the phi in {0, pi} branches, before any grid is built.
     """
+    n_theta, n_phi = _require_int("n_theta", n_theta), _require_int("n_phi", n_phi)
     if n_theta < 20 or n_phi < 20:
         raise ValueError("n_theta and n_phi must both be at least 20")
     _require_regime(regime)
     cfg.phase_branch()  # an off-branch drive is refused before any grid is built
-    thetas = np.linspace(0.0, math.pi, int(n_theta))
-    phis = 2.0 * math.pi * np.arange(int(n_phi)) / int(n_phi)
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     if regime == "nonadiabatic":
         # every plaquette of a theta row has the value of its first column's
         states, min_gap = _rotating_band_states(cfg, thetas, phis[:2])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DrivenSpinError
 from .geometry import _is_topological, _sector_masks, _transition_distance, chern_lattice
-from .qmodel import DriveConfig, StateLabel, _sector_ratios
+from .qmodel import DriveConfig, StateLabel, _require_int, _sector_ratios
 from .spectra import _sector_parameters
 
 DEFAULT_LATTICE_RESOLUTION = 100
@@ -149,9 +149,7 @@ def _scan_columns(b_range, omega_range, t_lr, phi, n_b, n_omega, method):
     order.  A cell's code indexes ``_PHASES``; a cell with no class has code
     ``len(_PHASES) + k`` and failed with the error named ``errors[k]``.
     """
-    for name, n in (("n_b", n_b), ("n_omega", n_omega)):
-        if not isinstance(n, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {n!r}")
+    n_b, n_omega = _require_int("n_b", n_b), _require_int("n_omega", n_omega)
     if n_b < 2 or n_omega < 2:
         raise ValueError("n_b and n_omega must both be at least 2")
     b_lo, b_hi = map(float, b_range)

@@ -76,6 +76,13 @@ def _sector_ratios(b, omega, t_lr, in_phase: bool):
     return (omega + 2.0 * t_lr) / b, (omega - 2.0 * t_lr) / b
 
 
+def _require_int(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming it unless it is an integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DriveConfig:
     """All physical parameters of the drive.

@@ -1,15 +1,11 @@
 """Hermitian diagonalization, closed-form energies and band labeling.
 
-The eigensolver ``eigh_stack`` takes a whole stack of 4x4 problems at once.
-A stack of at least _SECTOR_MIN matrices that commutes with a site exchange
-(checked on its entries, to roundoff) is solved as two 2x2 sector blocks per
-matrix; every other stack, one-matrix solves among them, goes to LAPACK
-``eigh`` (through numpy).  A deterministic gauge fix follows either way.  It
-reads no closed form, so it stays an independent route to the spectra.
-
-The one band-labeling rule, ``_label_bands``, lives here too; it names one
-spectrum or a grid of spectra by (m1, m2).  Every closed form, here and in
-``geometry``, reads its sector parameter x from ``_sector_parameters``.
+The eigensolver ``eigh_stack`` takes a whole stack of 4x4 problems at once,
+by site-exchange sector blocks or by LAPACK; it reads no closed form, so it
+stays an independent route to the spectra.  The one band-labeling rule,
+``_label_bands``, names one spectrum or a grid of spectra by (m1, m2).
+Every closed form, here and in ``geometry``, reads its sector parameter x
+and root from one kernel, ``_sector_roots``, on a float or an array of theta.
 """
 
 from __future__ import annotations
@@ -29,6 +25,13 @@ REGIMES = ("adiabatic", "nonadiabatic")
 #: Band labeling is refused when the smallest eigenvalue gap drops below
 #: DEGENERACY_FACTOR * b; near-degenerate bands permute silently otherwise.
 DEGENERACY_FACTOR = 1e-6
+
+#: Below this value of sqrt(1 + x^2 - 2 x cos(theta)) a closed-form branch
+#: sits on a band touching and the corresponding quantity is undefined.
+ROOT_TOL = 1e-9
+
+#: m1 and m2 of the four labels, in LABELS order.
+_M1, _M2 = np.array(LABELS).T
 
 
 def _require_finite(h: np.ndarray) -> None:
@@ -255,37 +258,45 @@ def _sector_parameters(cfg: DriveConfig, regime: str) -> tuple[float, float]:
     return _sector_ratios(cfg.b, omega, cfg.t_lr, in_phase)
 
 
+def _sector_roots(cfg: DriveConfig, regime: str, theta):
+    """The closed-form kernel: (m1, x, cos(theta), d, code) of the four bands in
+    LABELS order at theta, a float or an array; m1 and x are (4,), cos(theta)
+    theta.shape + (1,), and d = 1 + x^2 - 2 x cos(theta) and the failure code
+    theta.shape + (4,).  The code is 1 where sqrt(d) <= ROOT_TOL, a band
+    touching (DegenerateGap), 2 where d overflows (NonConverged), else 0."""
+    x = np.where(_M2 > 0, *_sector_parameters(cfg, regime))
+    c = np.cos(np.asarray(theta, dtype=float))[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = 1.0 + x * x - 2.0 * x * c
+        code = np.where(np.sqrt(np.maximum(d, 0.0)) <= ROOT_TOL, 1, 2 * ~np.isfinite(d))
+    return _M1, x, c, d, code
+
+
 def _closed_energy_table(cfg: DriveConfig, regime: str, theta=None) -> np.ndarray:
     """Closed-form energies for all four labels (LABELS order).
 
-    Band (m1, m2) has -m1 b/2 sqrt(1 + x^2 - 2 x cos(theta)), less m2 t_lr
+    Band (m1, m2) has -m1 b/2 sqrt(d) (see ``_sector_roots``), less m2 t_lr
     for in-phase quasienergies, except in-phase adiabatic -b/2 (m1 + m2 lam),
     which that form at x = 0 rounds differently.  Raises NonConverged
-    where an entry overflows to inf or nan.
-
-    ``theta`` overrides cfg.theta when sweeping a grid; it may be an array,
-    in which case the result has shape theta.shape + (4,).
+    where an entry overflows to inf or nan.  ``theta``, a float or an array,
+    overrides cfg.theta; the result has shape theta.shape + (4,).
     """
     in_phase = cfg.phase_branch() == 0.0
     if regime not in ("adiabatic", "rotating"):
         raise ValueError(f"regime must be 'adiabatic' or 'rotating', got {regime!r}")
-    xs = _sector_parameters(cfg, "adiabatic" if regime == "adiabatic" else "nonadiabatic")
     th = cfg.theta if theta is None else theta
-    c = np.cos(th)
+    # an entry that overflows is inf or nan, and refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        # numpy's pow overflows to inf where Python's float ** raises
-        roots = [np.sqrt(1.0 + x**2 - 2.0 * x * c) for x in map(np.float64, xs)]
-    cols = []
-    for m1, m2 in LABELS:
         if regime == "adiabatic" and in_phase:
-            cols.append(np.broadcast_to(-0.5 * cfg.b * (m1 + m2 * cfg.lam), np.shape(c)))
+            out = np.broadcast_to(-0.5 * cfg.b * (_M1 + _M2 * cfg.lam), np.shape(th) + (4,))
         else:
-            col = -0.5 * m1 * cfg.b * roots[0 if m2 > 0 else 1]
-            cols.append(col - m2 * cfg.t_lr if regime == "rotating" and in_phase else col)
-    out = np.stack([np.asarray(col, dtype=float) for col in cols], axis=-1)
+            d = _sector_roots(cfg, "adiabatic" if regime == "adiabatic" else "nonadiabatic", th)[3]
+            out = -0.5 * _M1 * cfg.b * np.sqrt(d)
+            if regime == "rotating" and in_phase:
+                out = out - _M2 * cfg.t_lr
     if not np.all(np.isfinite(out)):
         raise NonConverged("closed-form energies overflow to inf or nan")
-    return out if np.ndim(th) else out.reshape(4)
+    return out
 
 
 @dataclass(frozen=True)

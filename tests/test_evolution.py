@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -114,6 +115,23 @@ class TestPropagatorRK4:
         cfg = DriveConfig(b=2.0, theta=1.0, omega=1.5)
         with pytest.raises(ValueError):
             propagator_rk4(cfg, 1.0, 100)
+
+    @pytest.mark.parametrize(
+        "n_steps,message",
+        [
+            (1000.9, "n_steps must be an integer, got 1000.9"),
+            (2000.0, "n_steps must be an integer, got 2000.0"),
+            (np.float64(1000.0), "n_steps must be an integer, got np.float64(1000.0)"),
+            ("1000", "n_steps must be an integer, got '1000'"),
+        ],
+    )
+    def test_non_integer_steps_refused(self, n_steps, message):
+        """int() would truncate 1000.9 to 1000 steps; a float count is refused by name."""
+        cfg = DriveConfig(b=2.0, theta=1.0, omega=1.5)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            propagator_rk4(cfg, 1.0, n_steps)
+        want = propagator_rk4(cfg, 1.0, 1000)
+        assert np.array_equal(propagator_rk4(cfg, 1.0, np.int64(1000)), want)
 
 
 def rk4_transfer_matrices(cfg, dt, count):
@@ -273,6 +291,24 @@ class TestExtractPhases:
                         assert (
                             circular_distance(breakdown.geometric - aa, math.pi) < 1e-6
                         )
+
+    @pytest.mark.parametrize(
+        "n_panels,message",
+        [
+            (11.9, "n_panels must be an integer, got 11.9"),
+            (12.0, "n_panels must be an integer, got 12.0"),
+            (np.float64(10.0), "n_panels must be an integer, got np.float64(10.0)"),
+            ("12", "n_panels must be an integer, got '12'"),
+        ],
+    )
+    def test_non_integer_panels_refused(self, n_panels, message):
+        """int() would truncate 11.9 and report "got 11"; a float count is refused by name."""
+        cfg, lab = DriveConfig(b=2.0, theta=1.0, omega=1.5, t_lr=0.5), StateLabel(1, -1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dynamical_phase_quadrature(cfg, lab, n_panels=n_panels)
+        assert dynamical_phase_quadrature(cfg, lab, n_panels=np.int64(12)) == (
+            dynamical_phase_quadrature(cfg, lab, n_panels=12)
+        )
 
     def test_dynamical_vs_quadrature(self):
         rng = np.random.default_rng(34)

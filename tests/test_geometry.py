@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -57,6 +58,30 @@ class TestFolding:
 
     def test_circular_distance(self):
         assert circular_distance(math.pi - 0.01, -math.pi + 0.01) == pytest.approx(0.02)
+        got = circular_distance(np.array([math.pi - 0.01, 0.5]), [-math.pi + 0.01, 0.5])
+        assert got.tolist() == [circular_distance(math.pi - 0.01, -math.pi + 0.01), 0.0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_folds_to_nan(self):
+        for x in (math.inf, -math.inf, math.nan):
+            y = fold_phase(x)
+            assert type(y) is float and math.isnan(y)
+            assert math.isnan(circular_distance(x, 0.0))
+        y = fold_phase(np.array([math.inf, 0.5, -math.inf, math.nan]))
+        assert np.isnan(y[[0, 2, 3]]).all() and y[1] == 0.5
+
+    def test_arrays_fold_as_floats(self):
+        xs = [-math.pi, math.pi, 3 * math.pi, -3 * math.pi, 0.0, -0.0, 7.5, -1e9, 1e-300]
+        got = fold_phase(np.array(xs))
+        assert got[0] == math.pi and got.dtype == np.float64
+        # bit for bit the float fold, the sign of a zero included
+        assert [float.hex(v) for v in got.tolist()] == [float.hex(fold_phase(x)) for x in xs]
+
+    def test_scalar_gives_python_float(self):
+        for x in (0.5, np.float64(0.5), np.float32(0.5), 2):
+            assert type(fold_phase(x)) is float
+            assert type(circular_distance(x, 0.25)) is float
+        assert fold_phase(-math.pi) == math.pi
 
 
 class TestWilson:
@@ -98,6 +123,24 @@ class TestWilson:
         cfg = DriveConfig(b=2.0, theta=0.0, t_lr=0.7)
         with pytest.raises(ValueError):
             berry_phase_wilson(cfg, 1.0, StateLabel(1, 1), n_steps=32)
+
+    @pytest.mark.parametrize(
+        "n_steps,message",
+        [
+            (128.0, "n_steps must be an integer, got 128.0"),
+            (np.float64(128.0), "n_steps must be an integer, got np.float64(128.0)"),
+            ("128", "n_steps must be an integer, got '128'"),
+        ],
+    )
+    def test_non_integer_steps_refused(self, n_steps, message):
+        """128.0 == 128, so a float count would silently share the cached loop of 128."""
+        cfg = DriveConfig(b=2.0, theta=0.0, t_lr=0.7)
+        geometry._wilson_band_phases.cache_clear()
+        want = berry_phase_wilson(cfg, 1.0, StateLabel(1, 1), n_steps=128)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            berry_phase_wilson(cfg, 1.0, StateLabel(1, 1), n_steps=n_steps)
+        assert berry_phase_wilson(cfg, 1.0, StateLabel(1, 1), n_steps=np.int64(128)) == want
+        geometry._wilson_band_phases.cache_clear()
 
     def test_band_phase_cache_hooks(self):
         # perfbench/run.py clears this cache and reads its counters around every job
@@ -188,6 +231,18 @@ class TestWilson:
         # resolved loops on both branches, at the poles and away from them
         assert set(compared) == {(branch, pole) for branch in (0.0, math.pi)
                                  for pole in (False, True)}
+
+
+def test_sz_total_of_a_stack_rounds_as_vdot():
+    """The batched <Sz_total> of the nonadiabatic berry column is each vector's
+    np.vdot bit for bit (an einsum or |v|^2 @ Sz rounds differently)."""
+    rng = np.random.default_rng(29)
+    v = rng.normal(size=(300, 4, 4)) + 1j * rng.normal(size=(300, 4, 4))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    want = [[float(np.real(np.vdot(w, SZ_TOTAL_DIAG * w))) for w in row] for row in v]
+    assert geometry._sz_total(v).tolist() == want
+    one = geometry._sz_total(v[7, 2])
+    assert type(one) is float and one == want[7][2]
 
 
 class TestBerryClosed:
@@ -417,6 +472,24 @@ class TestChernLattice:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             chern_lattice(anti_phase(t_lr=0.5), 10, 40, "adiabatic")
+
+    @pytest.mark.parametrize(
+        "n_theta,n_phi,message",
+        [
+            (20.9, 20, "n_theta must be an integer, got 20.9"),
+            (20.0, 20, "n_theta must be an integer, got 20.0"),
+            (20, np.float64(21.0), "n_phi must be an integer, got np.float64(21.0)"),
+            (20, "20", "n_phi must be an integer, got '20'"),
+            (None, 20.5, "n_theta must be an integer, got None"),
+        ],
+    )
+    def test_non_integer_counts_refused(self, n_theta, n_phi, message):
+        """int() would truncate 20.9 to a 20-row grid; a float count is refused by name."""
+        for regime in ("adiabatic", "nonadiabatic"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                chern_lattice(anti_phase(t_lr=0.5, omega=1.5), n_theta, n_phi, regime)
+        report = chern_lattice(anti_phase(t_lr=0.5), np.int64(20), np.int32(20))
+        assert report.c1 == chern_lattice(anti_phase(t_lr=0.5), 20, 20).c1
 
 
 def _single_pass_chern(cfg, n_theta, n_phi, regime):

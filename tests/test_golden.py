@@ -141,6 +141,31 @@ def test_closed_phase_diagram_json_is_byte_identical():
     assert buf.getvalue() == (GOLDEN_DIR / "phase_diagram.json").read_text()
 
 
+@pytest.mark.parametrize("name", ["berry_adiabatic", "berry_nonadiabatic", "spectrum"])
+def test_closed_columns_are_bit_identical(name):
+    """The theta and closed-form columns equal the golden ones bit for bit.
+
+    The goldens were recorded by a per-row scalar evaluation of each closed
+    form, so they are an independent reference for the array kernel; only
+    the numerical columns may drift, within GOLDEN_ATOL.
+    """
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(README_COMMANDS[name]) == 0
+    # numbers kept as their 17-digit texts, which round-trip every bit, sign of zero included
+    want, got = (
+        json.loads(text, parse_float=str, parse_int=str)["results"]
+        for text in ((GOLDEN_DIR / f"{name}.json").read_text(), buf.getvalue())
+    )
+    assert got["columns"] == want["columns"]
+    keep = [j for j, col in enumerate(want["columns"])
+            if col == "theta" or col.startswith("closed_")]
+    assert len(keep) == 5 and len(want["rows"]) > 1
+    assert [[row[j] for j in keep] for row in got["rows"]] == [
+        [row[j] for j in keep] for row in want["rows"]
+    ]
+
+
 def test_csv_cells_parse_each_kind():
     assert csv_cells("b,class,n\n0.5,(0,Z),3\n1e-05,,x") == [
         ["b", "class", "n"], [0.5, "(0,Z)", 3], [1e-05, "", "x"]
