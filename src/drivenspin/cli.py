@@ -27,7 +27,7 @@ from . import geometry, phasescan
 from .errors import DrivenSpinError, NonConverged
 from .evolution import CyclicSystem, _rk4_error_estimate, propagator_rk4
 from .qmodel import LABELS, DriveConfig, StateLabel, _rotating_hamiltonian
-from .spectra import _closed_energy_table, _sector_roots, band_order, eigh_stack
+from .spectra import _closed_energies, _closed_energy_table, _sector_roots, band_order, eigh_stack
 
 SCHEMA_VERSION = 1
 
@@ -310,6 +310,9 @@ def cmd_berry(args) -> tuple[tuple, dict]:
     try:  # one labelled pass serves all rows; if a row fails, each row is solved alone
         vectors = band_vectors(thetas)
     except DrivenSpinError:
+        table = "adiabatic" if adiabatic else "rotating"
+        if not np.any(np.all(np.isfinite(_closed_energies(cfg, table, thetas)), axis=-1)):
+            _closed_energy_table(cfg, table, thetas)  # no row can be labelled: refuse once
         vectors = np.zeros((len(thetas), 4, 4), dtype=complex)
         for i in range(len(thetas)):
             try:

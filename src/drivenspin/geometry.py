@@ -59,6 +59,7 @@ from .qmodel import (
 from .spectra import (
     _label_bands,
     _require_regime,
+    _root_codes,
     _sector_parameters,
     _sector_roots,
     eigh_stack,
@@ -72,6 +73,12 @@ TRANSITION_TOL = 1e-9
 WILSON_CONV_TOL = 1e-6
 
 DEFAULT_WILSON_STEPS = 512
+
+#: A link overlap below this magnitude means the grid hits a band degeneracy.
+LINK_TOL = 1e-12
+
+#: A lattice flux total must lie within this distance of an integer.
+FLUX_TOL = 1e-9
 
 
 def fold_phase(x):
@@ -121,9 +128,10 @@ def _band_roots(cfg: DriveConfig, regime: str, theta: float, label):
     theta, after raising the failure that the band's code names."""
     k = LABELS.index(StateLabel(*label))
     roots = _sector_roots(cfg, regime, theta)
-    if roots[4][k] == 1:
+    code = _root_codes(roots[3][k])
+    if code == 1:
         raise DegenerateGap(f"band touching at theta={theta} for label {tuple(label)}")
-    if roots[4][k] == 2:
+    if code == 2:
         raise NonConverged(f"closed form overflows at |x| = {abs(float(roots[1][k]))}")
     return k, roots
 
@@ -202,7 +210,7 @@ def _plaquettes(links_p, links_t, links_t_next):
     ``links_t_next`` the theta links of columns j and j + 1.  A vanishing
     varphi link or column-j theta link raises NonConverged.
     """
-    if min(np.min(np.abs(links_p)), np.min(np.abs(links_t))) < 1e-12:
+    if min(np.min(np.abs(links_p)), np.min(np.abs(links_t))) < LINK_TOL:
         raise NonConverged("vanishing link overlap; grid hits a band degeneracy")
     return links_p[:-1] * links_t_next * np.conj(links_p[1:]) * np.conj(links_t)
 
@@ -269,6 +277,34 @@ def _rotating_band_states(cfg, thetas, phis):
     for i in np.nonzero(_pole_rows(thetas))[0]:
         states[i] = vectors[i][None, :, :]
     return states, min_gap
+
+
+def _strip_links(vectors, thetas, n_phi: int):
+    """Links of the first two varphi columns of the nonadiabatic Chern grid:
+    (varphi links of every row, theta links of column 0, of column 1), each
+    (..., n_theta or n_theta - 1, 4 labels), of labelled rotating-frame
+    vectors psi (..., n_theta, 4, 4 labels).  Column 0 holds psi, column 1
+    psi carried by exp(-i (2 pi / n_phi) Sz_total), and pole rows psi in both,
+    as ``_rotating_band_states`` builds them; leading axes are a block of cells.
+    """
+    carried = np.exp(-1j * (2.0 * math.pi / n_phi) * SZ_TOTAL_DIAG)[:, None] * vectors
+    poles = _pole_rows(thetas)
+    carried[..., poles, :, :] = vectors[..., poles, :, :]
+    conj, conj_carried, rows = np.conj(vectors), np.conj(carried), "...kl,...kl->...l"
+    return (
+        np.einsum(rows, conj, carried),
+        np.einsum(rows, conj[..., :-1, :, :], vectors[..., 1:, :, :]),
+        np.einsum(rows, conj_carried[..., :-1, :, :], carried[..., 1:, :, :]),
+    )
+
+
+def _strip_flux(links, n_phi: int):
+    """Flux / 2 pi (..., 4 labels) of the n_phi-column nonadiabatic grid from the
+    ``_strip_links`` of its first two columns: the grid is covariant under the
+    drive rotation, so every plaquette of a theta row has its strip plaquette's
+    value, and the grid sums n_phi strips."""
+    plaq = _plaquettes(*(np.moveaxis(link, -2, 0) for link in links))  # theta rows first
+    return n_phi * np.sum(np.angle(plaq), axis=0) / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +403,12 @@ def berry_phase_wilson(
     return value
 
 
-def _closed_phases(regime: str, m1, x, c, d, code):
+def _closed_phases(regime: str, m1, x, c, d):
     """(phases, code): the regime's closed-form geometric phases
     (``berry_phase_closed`` or ``aa_phase_closed``) of the bands of
-    ``_sector_roots``' output, and its failure code; a failing cell's phase
-    is a placeholder."""
+    ``_sector_roots``' output, and their ``_root_codes``; a failing cell's
+    phase is a placeholder."""
+    code = _root_codes(d)
     ok = code == 0
     swing, f = m1 * (np.where(ok, x, 0.0) - c), np.sqrt(np.where(ok, d, 1.0))
     return fold_phase(np.pi * (swing + f if regime == "adiabatic" else swing) / f), code
@@ -433,7 +470,7 @@ def curvature_closed(
     with x the sector parameter of the band (see the module docstring).
     """
     k, roots = _band_roots(cfg, regime, theta, label)
-    m1, x, c, d, _ = (float(a[k]) for a in np.broadcast_arrays(*roots))
+    m1, x, c, d = (float(a[k]) for a in np.broadcast_arrays(*roots))
     with np.errstate(over="ignore"):
         den = np.float64(d) ** 1.5
     if not np.isfinite(den):
@@ -561,12 +598,8 @@ def chern_lattice(
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     if regime == "nonadiabatic":
-        # every plaquette of a theta row has the value of its first column's
-        states, min_gap = _rotating_band_states(cfg, thetas, phis[:2])
-        links_p = np.einsum("ik...,ik...->i...", np.conj(states[:, 0]), states[:, 1])
-        links_t = np.einsum("ijk...,ijk...->ij...", np.conj(states[:-1]), states[1:])
-        plaq = _plaquettes(links_p, links_t[:, 0], links_t[:, 1])
-        flux = len(phis) * np.sum(np.angle(plaq), axis=0) / (2.0 * math.pi)
+        vectors, min_gap = _rotating_band_vectors(cfg, thetas)
+        flux = _strip_flux(_strip_links(vectors, thetas, n_phi), n_phi)
     else:
         flux, min_gap, failures = 0.0, math.inf, []
         for start in range(0, len(thetas) - 1, _CHERN_BLOCK):
@@ -587,7 +620,7 @@ def chern_lattice(
     c1 = {}
     for k, lab in enumerate(LABELS):
         rounded = round(float(flux[k]))
-        if abs(flux[k] - rounded) > 1e-9:
+        if abs(flux[k] - rounded) > FLUX_TOL:
             raise NonConverged(
                 f"flux total {flux[k]!r} for band {tuple(lab)} is not an "
                 "integer to 1e-9; refine the grid"

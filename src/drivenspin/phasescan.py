@@ -10,15 +10,33 @@ always.
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DrivenSpinError
-from .geometry import _is_topological, _sector_masks, _transition_distance, chern_lattice
-from .qmodel import DriveConfig, StateLabel, _require_int, _sector_ratios
-from .spectra import _sector_parameters
+from .geometry import (
+    FLUX_TOL,
+    LINK_TOL,
+    _is_topological,
+    _sector_masks,
+    _strip_flux,
+    _strip_links,
+    _transition_distance,
+    chern_lattice,
+)
+from .qmodel import LABELS, DriveConfig, _require_int, _rotating_hamiltonian, _sector_ratios
+from .spectra import (
+    DEGENERACY_FACTOR,
+    RESIDUAL_FACTOR,
+    _closed_energies,
+    _sector_parameters,
+    band_order,
+    eigh_stack,
+)
 
 DEFAULT_LATTICE_RESOLUTION = 100
 
@@ -90,24 +108,29 @@ def classify_point(cfg: DriveConfig, method: str = "closed") -> PhaseClass:
             n_phi=DEFAULT_LATTICE_RESOLUTION,
             regime="nonadiabatic",
         )
-        mags = {}
-        for m2 in (+1, -1):
-            up = report.c1[StateLabel(+1, m2)]
-            dn = report.c1[StateLabel(-1, m2)]
-            if up + dn != 0 or abs(up) > 1:
-                raise DrivenSpinError(
-                    f"unexpected lattice invariants in m2={m2:+d} sector: {up}, {dn}"
-                )
-            mags[m2] = abs(up)
-        return _PHASES[2 * mags[+1] + mags[-1]]
+        c1 = np.array([report.c1[lab] for lab in LABELS])
+        code = int(_lattice_codes(c1))
+        if code < 0:
+            raise DrivenSpinError(f"unexpected lattice invariants {c1.tolist()} in LABELS order")
+        return _PHASES[code]
     raise ValueError(f"method must be 'closed' or 'lattice', got {method!r}")
+
+
+def _lattice_codes(c1):
+    """Class codes (indices into ``_PHASES``) of lattice Chern numbers c1 (..., 4),
+    LABELS order: 2 |c1(+1, +1)| + |c1(+1, -1)|, or -1 where the two m1 bands of
+    an m2 sector do not cancel or exceed 1 in magnitude."""
+    up, dn = c1[..., :2], c1[..., 2:]  # m1 = +1 and m1 = -1, each m2 = +1, -1
+    ok = np.all((up + dn == 0) & (np.abs(up) <= 1), axis=-1)
+    return np.where(ok, 2 * np.abs(up[..., 0]) + np.abs(up[..., 1]), -1)
 
 
 def _scan_cell(b, omega, t_lr, phi, method):
     """One cell, classified on its own by ``classify_point``.
 
-    ``scan_diagram`` uses it for every lattice cell; closed cells come from
-    the array pass of ``_scan_closed``, which gives the same cell.
+    The lattice scan uses it for every cell that its blocks flag; closed
+    cells come from the array pass of ``_scan_closed``, which gives the
+    same cell.
     """
     cfg = DriveConfig(b=b, theta=0.0, phi_l=0.0, phi_r=-phi, omega=omega, t_lr=t_lr)
     dist = float(_boundary_distance(*_sector_parameters(cfg, "nonadiabatic")))
@@ -119,19 +142,76 @@ def _scan_cell(b, omega, t_lr, phi, method):
     return PhaseDiagramCell(b, omega, phase, dist, error)
 
 
-def _scan_closed(b_cells, omega_cells, t_lr: float, in_phase: bool):
-    """Closed-form (codes, distances, errors) columns of the cells, in one array pass.
-
-    For valid parameters each cell is the one ``_scan_cell`` gives: a cell
-    within TRANSITION_TOL of a transition line records OnTransition, and a
-    sector parameter that overflows is inf, as Python's float division gives.
-    """
-    with np.errstate(over="ignore"):
-        x_plus, x_minus = _sector_ratios(b_cells, omega_cells, t_lr, in_phase)
+def _scan_closed(x_plus, x_minus):
+    """Closed-form (codes, errors) of the cells with sector parameters x_plus,
+    x_minus: a cell within TRANSITION_TOL of a transition line records
+    OnTransition, as ``_scan_cell`` does."""
     on_plus, top_plus = _sector_masks(x_plus)
     on_minus, top_minus = _sector_masks(x_minus)
-    codes = np.where(on_plus | on_minus, len(_PHASES), 2 * top_plus + top_minus)
-    return codes, _boundary_distance(x_plus, x_minus), ["OnTransition"]
+    return np.where(on_plus | on_minus, len(_PHASES), 2 * top_plus + top_minus), ["OnTransition"]
+
+
+#: Cells of one block of the lattice scan, classified from one eigensolve of
+#: their _LATTICE_BLOCK * DEFAULT_LATTICE_RESOLUTION rotating-frame
+#: Hamiltonians.  A block peaks at 7.8 MiB (tracemalloc), a third of the
+#: 400x400 adiabatic ``chern``'s; blocks of 32 to 128 cells took as long.
+_LATTICE_BLOCK = 64
+
+
+def _scan_lattice(b, omega, t_lr, phi, base):
+    """Lattice (codes, errors) of the cells, in blocks of _LATTICE_BLOCK cells.
+
+    A cell that ``_lattice_block`` flags, and every cell of a block whose
+    eigensolve raises, is classified again on its own by ``_scan_cell``, so
+    its error is the per-cell route's.  Error names are listed in row-major
+    order of first appearance.
+    """
+    codes, errors = np.empty(len(b), dtype=int), {}
+    for start in range(0, len(b), _LATTICE_BLOCK):
+        block = slice(start, start + _LATTICE_BLOCK)
+        try:
+            codes[block] = _lattice_block(b[block], omega[block], base)
+        except DrivenSpinError:
+            codes[block] = -1
+        for i in start + np.flatnonzero(codes[block] < 0):
+            cell = _scan_cell(b[i], omega[i], t_lr, phi, "lattice")
+            codes[i] = (_PHASES.index(cell.phase) if cell.phase else
+                        len(_PHASES) + errors.setdefault(cell.error, len(errors)))
+    return codes, list(errors)
+
+
+def _lattice_block(b, omega, base):
+    """Class codes of the lattice cells b, omega (cells,) of drive ``base``, -1
+    where a check of ``chern_lattice`` or ``classify_point`` would fail.
+
+    ``chern_lattice``'s nonadiabatic strip runs once, with a leading cell
+    axis: one eigensolve, the labelling rule of ``_label_bands``, the strip
+    links and flux, the snap to integers and the invariant rule.  A cell is
+    flagged where its gap is below DEGENERACY_FACTOR * b, a closed energy is
+    not finite, its residual exceeds RESIDUAL_FACTOR * b, a link is below
+    LINK_TOL, a flux lies more than FLUX_TOL from an integer, or its
+    invariants do not cancel.
+    """
+    cfg = copy.copy(base)
+    cfg.__dict__.update(b=b[:, None], omega=omega[:, None])  # a block of drives, unvalidated
+    thetas = np.linspace(0.0, math.pi, DEFAULT_LATTICE_RESOLUTION)
+    values, vectors = eigh_stack(_rotating_hamiltonian(cfg, thetas))
+    closed = _closed_energies(cfg, "rotating", thetas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.min(np.diff(values, axis=-1), axis=(1, 2))
+        residual = np.max(np.abs(values - np.sort(closed, axis=-1)), axis=(1, 2))
+    ok = ~(gap < DEGENERACY_FACTOR * b) & ~(residual > RESIDUAL_FACTOR * b)
+    ok &= np.all(np.isfinite(closed), axis=(1, 2))
+    vectors = np.take_along_axis(vectors, band_order(closed)[..., None, :], axis=-1)
+    links = _strip_links(vectors, thetas, DEFAULT_LATTICE_RESOLUTION)
+    ok &= ~(np.minimum(*(np.min(np.abs(link), axis=(1, 2)) for link in links[:2])) < LINK_TOL)
+    codes = np.full(len(b), -1)
+    if ok.any():
+        flux = _strip_flux([link[ok] for link in links], DEFAULT_LATTICE_RESOLUTION)
+        c1 = np.round(flux)
+        snapped = np.all(np.abs(flux - c1) <= FLUX_TOL, axis=-1)
+        codes[ok] = np.where(snapped, _lattice_codes(c1), -1)
+    return codes
 
 
 def _centres(lo: float, hi: float, n: int) -> np.ndarray:
@@ -166,13 +246,16 @@ def _scan_columns(b_range, omega_range, t_lr, phi, n_b, n_omega, method):
     # rows are a prefix: the first cell is invalid if any is, and raises so.
     DriveConfig(b=bs[0], theta=0.0, phi_l=0.0, phi_r=-phi, omega=ws[0], t_lr=t_lr)
     b, omega = np.repeat(bs, ws.size), np.tile(ws, bs.size)
+    # a sector parameter that overflows is inf, as Python's float division gives
+    with np.errstate(over="ignore"):
+        x_plus, x_minus = _sector_ratios(b, omega, base.t_lr, in_phase)
     if method == "closed":
-        return b, omega, *_scan_closed(b, omega, base.t_lr, in_phase)
-    cells = [_scan_cell(*bw, t_lr, phi, method) for bw in zip(b.tolist(), omega.tolist())]
-    errors = list(dict.fromkeys(c.error for c in cells if c.phase is None))
-    outcomes = [*_PHASES, *errors]  # a PhaseClass equals no error name
-    codes = np.array([outcomes.index(c.phase or c.error) for c in cells])
-    return b, omega, codes, np.array([c.boundary_distance for c in cells]), errors
+        codes, errors = _scan_closed(x_plus, x_minus)
+    elif method == "lattice":
+        codes, errors = _scan_lattice(b, omega, t_lr, phi, base)
+    else:
+        raise ValueError(f"method must be 'closed' or 'lattice', got {method!r}")
+    return b, omega, codes, _boundary_distance(x_plus, x_minus), errors
 
 
 def scan_diagram(
@@ -194,9 +277,13 @@ def scan_diagram(
     a bad range, or as the first invalid cell's DriveConfig does.
 
     The closed method classifies the whole grid in one array pass
-    (``_scan_closed``); the lattice method computes one ``chern_lattice``
-    per cell through ``_scan_cell``.  ``phase-diagram`` renders the same
-    grid from its columns, without building the cells.
+    (``_scan_closed``).  The lattice method runs ``chern_lattice``'s
+    nonadiabatic strip on blocks of _LATTICE_BLOCK cells, each from one
+    eigensolve (``_lattice_block``), and classifies a cell that any check of
+    that route flags on its own through ``_scan_cell``, so every cell and
+    error name is the per-cell route's.  Either way the boundary distances
+    are one array expression.  ``phase-diagram`` renders the same grid from
+    its columns, without building the cells.
 
     Returns the cells in row-major order (B outer, Omega inner).
     """

@@ -223,11 +223,13 @@ def _lab_hamiltonian(cfg: DriveConfig, theta=None, s=0.0) -> np.ndarray:
     ``theta``, cfg.theta if None, may be a grid and is not validated:
     geometry routines probe theta slightly outside [0, pi] when centering
     cells at the poles.  The trigonometric factors are taken on theta's and
-    s's own shapes and broadcast only where they enter ``h``.
+    s's own shapes and broadcast only where they enter ``h``.  A block of
+    drives, cfg.b (and cfg.omega, for ``_rotating_hamiltonian``) arrays that
+    broadcast against theta, gives the broadcast grid of Hamiltonians.
     """
     theta = np.asarray(cfg.theta if theta is None else theta, dtype=float)
     s = np.asarray(s, dtype=float)
-    shape = np.broadcast_shapes(theta.shape, s.shape)
+    shape = np.broadcast_shapes(theta.shape, s.shape, np.shape(cfg.b))
     h = np.zeros(shape + (4, 4), dtype=complex)
     dz = 0.5 * cfg.b * np.cos(theta)
     h[..., 0, 0] = dz

@@ -26,6 +26,10 @@ REGIMES = ("adiabatic", "nonadiabatic")
 #: DEGENERACY_FACTOR * b; near-degenerate bands permute silently otherwise.
 DEGENERACY_FACTOR = 1e-6
 
+#: Band labeling is refused when some numerical energy lies more than
+#: RESIDUAL_FACTOR * b from its sorted closed-form energy (AmbiguousMatch).
+RESIDUAL_FACTOR = 1e-8
+
 #: Below this value of sqrt(1 + x^2 - 2 x cos(theta)) a closed-form branch
 #: sits on a band touching and the corresponding quantity is undefined.
 ROOT_TOL = 1e-9
@@ -259,17 +263,22 @@ def _sector_parameters(cfg: DriveConfig, regime: str) -> tuple[float, float]:
 
 
 def _sector_roots(cfg: DriveConfig, regime: str, theta):
-    """The closed-form kernel: (m1, x, cos(theta), d, code) of the four bands in
-    LABELS order at theta, a float or an array; m1 and x are (4,), cos(theta)
-    theta.shape + (1,), and d = 1 + x^2 - 2 x cos(theta) and the failure code
-    theta.shape + (4,).  The code is 1 where sqrt(d) <= ROOT_TOL, a band
-    touching (DegenerateGap), 2 where d overflows (NonConverged), else 0."""
-    x = np.where(_M2 > 0, *_sector_parameters(cfg, regime))
+    """The closed-form kernel: (m1, x, cos(theta), d) of the four bands in
+    LABELS order at theta, a float or an array; m1 is (4,), x the shape of
+    cfg.b (a float, or an array that broadcasts against theta) + (4,),
+    cos(theta) theta.shape + (1,), and d = 1 + x^2 - 2 x cos(theta) their
+    broadcast.  ``_root_codes`` names where d fails."""
+    x = np.where(_M2 > 0, *np.asarray(_sector_parameters(cfg, regime))[..., None])
     c = np.cos(np.asarray(theta, dtype=float))[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
-        d = 1.0 + x * x - 2.0 * x * c
-        code = np.where(np.sqrt(np.maximum(d, 0.0)) <= ROOT_TOL, 1, 2 * ~np.isfinite(d))
-    return _M1, x, c, d, code
+        return _M1, x, c, 1.0 + x * x - 2.0 * x * c
+
+
+def _root_codes(d):
+    """Failure code of each root d of ``_sector_roots``: 1 where sqrt(d) <= ROOT_TOL,
+    a band touching (DegenerateGap), 2 where d overflows (NonConverged), else 0."""
+    with np.errstate(invalid="ignore"):
+        return np.where(np.sqrt(np.maximum(d, 0.0)) <= ROOT_TOL, 1, 2 * ~np.isfinite(d))
 
 
 def _closed_energy_table(cfg: DriveConfig, regime: str, theta=None) -> np.ndarray:
@@ -281,21 +290,27 @@ def _closed_energy_table(cfg: DriveConfig, regime: str, theta=None) -> np.ndarra
     where an entry overflows to inf or nan.  ``theta``, a float or an array,
     overrides cfg.theta; the result has shape theta.shape + (4,).
     """
+    out = _closed_energies(cfg, regime, cfg.theta if theta is None else theta)
+    if not np.all(np.isfinite(out)):
+        raise NonConverged("closed-form energies overflow to inf or nan")
+    return out
+
+
+def _closed_energies(cfg: DriveConfig, regime: str, theta) -> np.ndarray:
+    """``_closed_energy_table`` at theta without its finiteness check: an entry
+    that overflows is inf or nan.  A rotating table also takes a block of
+    drives, cfg.b and cfg.omega arrays that broadcast against theta; it then
+    has their broadcast shape + (4,)."""
     in_phase = cfg.phase_branch() == 0.0
     if regime not in ("adiabatic", "rotating"):
         raise ValueError(f"regime must be 'adiabatic' or 'rotating', got {regime!r}")
-    th = cfg.theta if theta is None else theta
-    # an entry that overflows is inf or nan, and refused below
     with np.errstate(over="ignore", invalid="ignore"):
         if regime == "adiabatic" and in_phase:
-            out = np.broadcast_to(-0.5 * cfg.b * (_M1 + _M2 * cfg.lam), np.shape(th) + (4,))
-        else:
-            d = _sector_roots(cfg, "adiabatic" if regime == "adiabatic" else "nonadiabatic", th)[3]
-            out = -0.5 * _M1 * cfg.b * np.sqrt(d)
-            if regime == "rotating" and in_phase:
-                out = out - _M2 * cfg.t_lr
-    if not np.all(np.isfinite(out)):
-        raise NonConverged("closed-form energies overflow to inf or nan")
+            return np.broadcast_to(-0.5 * cfg.b * (_M1 + _M2 * cfg.lam), np.shape(theta) + (4,))
+        d = _sector_roots(cfg, "adiabatic" if regime == "adiabatic" else "nonadiabatic", theta)[3]
+        out = -0.5 * _M1 * np.asarray(cfg.b)[..., None] * np.sqrt(d)
+        if regime == "rotating" and in_phase:
+            out = out - _M2 * cfg.t_lr
     return out
 
 
@@ -334,7 +349,7 @@ def label_eigenstates(
     NonConverged
         If the closed-form energies overflow.
     AmbiguousMatch
-        If some state is more than 1e-8 * b from its closed-form energy.
+        If some state is more than RESIDUAL_FACTOR * b from its closed-form energy.
     UnsupportedPhase
         Away from the phi in {0, pi} branches.
     """
@@ -352,8 +367,8 @@ def _label_bands(cfg, regime, values, theta=None, where=None):
     ``values`` (..., 4), ascending, are matched against
     ``_closed_energy_table(cfg, regime, theta)``, which must broadcast
     against them.  Bands must be resolved (gap at least
-    DEGENERACY_FACTOR * b) and the closed forms finite and within 1e-8 * b
-    of the sorted values; any other bijection then misplaces some label by
+    DEGENERACY_FACTOR * b) and the closed forms finite and within
+    RESIDUAL_FACTOR * b of the sorted values; any other bijection then misplaces some label by
     more than the gap allows, so the sort-order match is the only one.
     ``where`` names a stack index in messages.  The raised DegenerateGap
     carries the smallest gap as ``gap``, and AmbiguousMatch the largest
@@ -378,7 +393,7 @@ def _label_bands(cfg, regime, values, theta=None, where=None):
         raise error
     closed = _closed_energy_table(cfg, regime, theta)
     residual = float(np.max(np.abs(values - np.sort(closed, axis=-1))))
-    if residual > 1e-8 * cfg.b:
+    if residual > RESIDUAL_FACTOR * cfg.b:
         error = AmbiguousMatch(
             f"numerical spectrum deviates from closed form by {residual:.3e}, "
             "above 1e-8 * b"

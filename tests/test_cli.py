@@ -254,15 +254,44 @@ class TestErrors:
         }
 
     def test_overflowing_closed_forms_fail_berry_rows(self, capsys):
-        # mu = omega / b overflows; the bands stay resolved, so labeling refuses
-        code, out, _ = run_cli(
-            capsys, "berry", "--b", "1e-300", "--omega", "1e10", "--t-lr", "1",
-            "--regime", "nonadiabatic", "--theta-steps", "3",
-        )
-        assert code == 0
-        assert [row[-1] for row in json.loads(out)["results"]["rows"]] == [
-            "NonConverged"
-        ] * 3
+        # in phase the quasienergies -m1 b/2 sqrt(d) - m2 t_lr overflow only
+        # where sqrt(d) is large, towards theta = pi: those rows fail alone
+        argv = ("berry --b 1e308 --omega 1.7e308 --t-lr 1e308 --regime nonadiabatic"
+                " --theta-steps 9").split()
+        want = [None] * 3 + ["NonConverged"] * 6
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert [row[-1] for row in json.loads(out)["results"]["rows"]] == want
+        code, out, err = run_cli(capsys, "--format", "csv", *argv)
+        assert (code, err) == (0, "")
+        assert [line.split(",")[-1] for line in out.splitlines()[1:]] == [
+            name or "" for name in want
+        ]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "drive",
+        [
+            # Delta_+- = (omega +- 2 t_lr) / b overflow anti-phase
+            "--b 1e-300 --t-lr 1e10 --phi pi --omega 1",
+            # mu = omega / b overflows in phase; the bands stay resolved
+            "--b 1e-300 --omega 1e10 --t-lr 1",
+        ],
+    )
+    def test_berry_refuses_once_where_no_row_has_closed_energies(
+        self, capsys, eigh_calls, fmt, drive
+    ):
+        """Where the closed energies overflow on every row, berry refuses as
+        spectrum does, after its one sweep and before any per-row solve."""
+        argv = f"--format {fmt} berry {drive} --regime nonadiabatic --theta-steps 3"
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == {
+            "name": "NonConverged", "message": "closed-form energies overflow to inf or nan"
+        }
+        assert eigh_calls == [(3, 4, 4)]
+        spectrum = f"spectrum {drive} --regime rotating --theta-steps 3"
+        assert run_cli(capsys, "--format", fmt, *spectrum.split()) == (3, out, err)
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_threads_below_one_rejected(self, capsys, value):

@@ -56,6 +56,12 @@ EXTRA_CSV_COMMANDS = {
 }
 CSV_COMMANDS = {**README_COMMANDS, **EXTRA_CSV_COMMANDS}
 CSV_GOLDENS = ("berry_nonadiabatic", "evolve", "phase_diagram", "phase_diagram_in_phase")
+#: The lattice phase diagram, as JSON and CSV.  Its classes are integers and
+#: its distances closed-form arithmetic, so it is compared byte for byte only.
+LATTICE_DIAGRAM = [
+    "phase-diagram", "--method", "lattice", "--t-lr", "1", "--phi", "pi",
+    "--n-b", "10", "--n-omega", "10",
+]
 
 
 def run_json(argv) -> dict:
@@ -141,6 +147,18 @@ def test_closed_phase_diagram_json_is_byte_identical():
     assert buf.getvalue() == (GOLDEN_DIR / "phase_diagram.json").read_text()
 
 
+def test_lattice_phase_diagram_json_is_byte_identical():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(LATTICE_DIAGRAM) == 0
+    assert buf.getvalue() == (GOLDEN_DIR / "phase_diagram_lattice.json").read_text()
+
+
+def test_lattice_phase_diagram_csv_is_byte_identical(tmp_path):
+    want = (GOLDEN_DIR / "phase_diagram_lattice.csv").read_text()
+    assert run_csv(LATTICE_DIAGRAM, tmp_path / "phase_diagram_lattice.csv") == want
+
+
 @pytest.mark.parametrize("name", ["berry_adiabatic", "berry_nonadiabatic", "spectrum"])
 def test_closed_columns_are_bit_identical(name):
     """The theta and closed-form columns equal the golden ones bit for bit.
@@ -201,3 +219,10 @@ if __name__ == "__main__":
     for name in CSV_GOLDENS:
         run_csv(CSV_COMMANDS[name], GOLDEN_DIR / f"{name}.csv")
         print(f"wrote {GOLDEN_DIR / name}.csv")
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        if main(LATTICE_DIAGRAM) != 0:
+            sys.exit("phase_diagram_lattice: nonzero exit")
+    (GOLDEN_DIR / "phase_diagram_lattice.json").write_text(buf.getvalue())
+    run_csv(LATTICE_DIAGRAM, GOLDEN_DIR / "phase_diagram_lattice.csv")
+    print(f"wrote {GOLDEN_DIR}/phase_diagram_lattice.json and .csv")

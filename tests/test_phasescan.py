@@ -2,6 +2,7 @@ import json
 import math
 import re
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -165,25 +166,61 @@ class TestScanDiagram:
             assert width == pytest.approx(4 * t_lr, abs=2 * (omegas[1] - omegas[0]))
 
     def test_every_cell_runs_on_the_calling_thread(self, monkeypatch):
-        scan_cell = phasescan._scan_cell
-        threads = []
+        """The lattice scan solves each block of cells in one eigensolve on the
+        calling thread, and classifies on its own only a cell that a block flags."""
+        calls = []
 
-        def recording_cell(*args):
-            threads.append(threading.get_ident())
-            return scan_cell(*args)
+        def recording(name):
+            fn = getattr(phasescan, name)
 
-        monkeypatch.setattr(phasescan, "_scan_cell", recording_cell)
+            def wrapped(*args):
+                work = args[:2] if name == "_scan_cell" else np.shape(args[0])
+                calls.append((name, threading.get_ident(), work))
+                return fn(*args)
+
+            monkeypatch.setattr(phasescan, name, wrapped)
+
+        recording("_scan_cell")
+        recording("eigh_stack")
+        me = threading.get_ident()
         closed = scan_diagram((0, 6), (0, 6), 1.0, math.pi, 4, 4)
-        assert threads == []  # the closed scan is one array pass, no per-cell calls
+        assert calls == []  # the closed scan is one array pass, no per-cell calls
         kwargs = dict(t_lr=1.0, phi=math.pi, n_b=2, n_omega=2)
         lattice = scan_diagram((1, 4), (0.5, 4), method="lattice", **kwargs)
-        assert threads == [threading.get_ident()] * 4
+        assert calls == [("eigh_stack", me, (4, 100, 4, 4))]
         assert len(closed) == 16 and len(lattice) == 4
         # the lattice route classifies every cell as the closed route does
         assert [c.phase for c in lattice] == [
             c.phase for c in scan_diagram((1, 4), (0.5, 4), **kwargs)
         ]
         assert all(c.phase is not None for c in lattice)
+        # the default 10x10 cells are two blocks, each solved before its
+        # flagged cells: the 10 on b = omega, which fail alone as DegenerateGap
+        calls.clear()
+        cells = scan_diagram((0, 6), (0, 6), 1.0, math.pi, 10, 10, method="lattice")
+        diagonal = [(k, (c.b, c.omega)) for k, c in enumerate(cells) if c.b == c.omega]
+        assert [(c.b, c.omega) for c in cells if c.phase is None] == [bw for _, bw in diagonal]
+        assert {c.error for c in cells if c.phase is None} == {"DegenerateGap"}
+        assert calls == [
+            ("eigh_stack", me, (64, 100, 4, 4)),
+            *(("_scan_cell", me, bw) for k, bw in diagonal if k < 64),
+            ("eigh_stack", me, (36, 100, 4, 4)),
+            *(("_scan_cell", me, bw) for k, bw in diagonal if k >= 64),
+        ]
+
+    def test_lattice_memory_does_not_grow_with_cells(self):
+        def traced_peak(n):
+            tracemalloc.start()
+            try:
+                scan_diagram((0.5, 6), (0, 6), 1.0, math.pi, n, n, method="lattice")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 8x8 cells are one full block (7.8 MiB), 6x6 part of one and 12x12
+        # three; one eigensolve of all 144 cells would peak near 17.6 MiB
+        assert phasescan._LATTICE_BLOCK == 64
+        assert traced_peak(12) <= traced_peak(6) + traced_peak(8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -346,3 +383,47 @@ def test_closed_scan_matches_the_scalar_route(grid):
         assert (cell.b, cell.omega) == (cells[row * n_omega].b, cells[col].omega)
         assert type(cell.b) is type(cell.omega) is type(cell.boundary_distance) is float
         assert cell == phasescan._scan_cell(cell.b, cell.omega, t_lr, phi, "closed")
+
+
+@st.composite
+def lattice_grids(draw):
+    """(b_range, omega_range, t_lr, phi, n_b, n_omega) of a lattice scan.
+
+    A quarter of the draws share one range and count for B and Omega, so
+    cells sit on b = omega (the in-phase transition, and a crossing of the
+    m2 sectors anti-phase); a quarter shift the Omega range by 2 t_lr, so
+    cells sit on the anti-phase line omega - 2 t_lr = b; a quarter take the
+    overflowing ranges of ``test_overflowing_range_has_finite_centres``.
+    """
+    phi = draw(st.sampled_from([0.0, math.pi]))
+    t_lr = draw(st.sampled_from([0.0, 1.0])) if draw(st.booleans()) else draw(st.floats(0.0, 4.0))
+    n_b, n_omega = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(["free", "diagonal", "line", "edge"]))
+    if kind == "edge":
+        b_range, omega_range = draw(st.sampled_from(
+            [((0, 6), (0, 1.7e308)), ((0, 1.7e308), (0, 6)), ((0, 1.7e308), (0, 1.7e308))]
+        ))
+        return b_range, omega_range, t_lr, phi, n_b, n_omega
+    b_lo = draw(st.floats(0.0, 4.0))
+    b_range = (b_lo, b_lo + draw(st.floats(1e-3, 8.0)))
+    if kind == "free":
+        w_lo = draw(st.floats(0.0, 8.0))
+        return b_range, (w_lo, w_lo + draw(st.floats(0.0, 8.0))), t_lr, phi, n_b, n_omega
+    shift = 2.0 * t_lr if kind == "line" else 0.0
+    return b_range, (b_range[0] + shift, b_range[1] + shift), t_lr, phi, n_b, n_b
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(lattice_grids())
+def test_lattice_scan_matches_the_scalar_route(grid):
+    """Each cell of the blocked lattice scan equals ``_scan_cell`` on its own,
+    field for field with floats compared by ==, flagged cells included, and
+    the scan raises no warning."""
+    b_range, omega_range, t_lr, phi, n_b, n_omega = grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = scan_diagram(b_range, omega_range, t_lr, phi, n_b, n_omega, method="lattice")
+    assert len(cells) == n_b * n_omega
+    for cell in cells:
+        assert type(cell.b) is type(cell.omega) is type(cell.boundary_distance) is float
+        assert cell == phasescan._scan_cell(cell.b, cell.omega, t_lr, phi, "lattice")
