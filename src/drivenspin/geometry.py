@@ -57,11 +57,15 @@ from .qmodel import (
     _rotating_hamiltonian,
 )
 from .spectra import (
+    DEGENERACY_FACTOR,
+    RESIDUAL_FACTOR,
+    _closed_energies,
     _label_bands,
     _require_regime,
     _root_codes,
     _sector_parameters,
     _sector_roots,
+    band_order,
     eigh_stack,
 )
 
@@ -305,6 +309,46 @@ def _strip_flux(links, n_phi: int):
     value, and the grid sums n_phi strips."""
     plaq = _plaquettes(*(np.moveaxis(link, -2, 0) for link in links))  # theta rows first
     return n_phi * np.sum(np.angle(plaq), axis=0) / (2.0 * math.pi)
+
+
+def _strip_chern(cfg, n_theta: int, n_phi: int):
+    """Nonadiabatic strip Chern numbers of one drive, or of a block of drives
+    whose cfg.b and cfg.omega are (cells, 1) arrays (unvalidated), from one
+    eigensolve of their n_theta rotating-frame rows.
+
+    Returns (c1, min_gap, failures): the snapped flux (..., 4 labels), nan
+    where a cell failed, the smallest gaps (...,), and by cell index (() for
+    one drive) the DrivenSpinError of each failed cell's first failing check.
+    Array masks find those cells; only they go back through the checks of one
+    pass (``_label_bands``, ``_strip_flux``, ``_snap``) on their solved rows.
+    """
+    thetas = np.linspace(0.0, math.pi, n_theta)
+    values, vectors = eigh_stack(_rotating_hamiltonian(cfg, thetas))
+    closed = _closed_energies(cfg, "rotating", thetas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        min_gap = np.diff(values, axis=-1).min(axis=(-2, -1))
+        residual = np.abs(values - np.sort(closed, axis=-1)).max(axis=(-2, -1))
+    b = np.reshape(cfg.b, min_gap.shape)
+    ok = ~(min_gap < DEGENERACY_FACTOR * b) & ~(residual > RESIDUAL_FACTOR * b)
+    ok &= np.isfinite(closed).all(axis=(-2, -1))
+    vectors = np.take_along_axis(vectors, band_order(closed)[..., None, :], axis=-1)
+    links = _strip_links(vectors, thetas, n_phi)
+    ok &= ~(np.minimum(*(np.abs(link).min(axis=(-2, -1)) for link in links[:2])) < LINK_TOL)
+    flux = np.full(ok.shape + (4,), np.nan)
+    if ok.any():  # links of all-pass cells keep their shape: one drive's strip is (n_theta, 4)
+        flux[ok] = _strip_flux(links if ok.all() else [link[ok] for link in links], n_phi)
+    c1 = np.round(flux)
+    ok &= (np.abs(flux - c1) <= FLUX_TOL).all(axis=-1)
+    failures = {}
+    for i in [] if ok.all() else map(tuple, np.argwhere(~ok)):
+        cell = replace(cfg, b=cfg.b[i].item(), omega=cfg.omega[i].item()) if i else cfg
+        try:
+            _label_bands(cell, "rotating", values[i], thetas,
+                         lambda ix: f"theta={thetas[ix[0]]:.6f}")
+            c1[i] = _snap(_strip_flux([link[i] for link in links], n_phi))
+        except DrivenSpinError as exc:
+            failures[i] = exc
+    return c1, min_gap, failures
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +604,8 @@ def chern_lattice(
     _CHERN_BLOCK theta rows that share their boundary rows, so memory does
     not grow with n_theta.  The nonadiabatic grid is covariant under the
     drive rotation, so every plaquette of a theta row has the same value;
-    it is summed as n_phi times one strip of plaquettes, from one
-    eigensolve of the n_theta rotating-frame Hamiltonians.  Its real checks
-    are that every theta row is labelled and that no theta link vanishes.
+    it is summed as n_phi times one strip of plaquettes by ``_strip_chern``,
+    the kernel that the lattice phase diagram runs on blocks of drives.
     Either way ``c1``, ``min_gap`` and the error raised, message included,
     are those of one pass over the whole grid; the flux differs from that
     pass only in its last bits.
@@ -595,12 +638,13 @@ def chern_lattice(
         raise ValueError("n_theta and n_phi must both be at least 20")
     _require_regime(regime)
     cfg.phase_branch()  # an off-branch drive is refused before any grid is built
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     if regime == "nonadiabatic":
-        vectors, min_gap = _rotating_band_vectors(cfg, thetas)
-        flux = _strip_flux(_strip_links(vectors, thetas, n_phi), n_phi)
+        c1, min_gap, failures = _strip_chern(cfg, n_theta, n_phi)
+        if failures:
+            raise failures[()]
     else:
+        thetas = np.linspace(0.0, math.pi, n_theta)
+        phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
         flux, min_gap, failures = 0.0, math.inf, []
         for start in range(0, len(thetas) - 1, _CHERN_BLOCK):
             block = thetas[start : start + _CHERN_BLOCK + 1]
@@ -617,16 +661,20 @@ def chern_lattice(
                     failures.append(exc)
         if failures:
             raise min(failures, key=_failure_rank)
-    c1 = {}
-    for k, lab in enumerate(LABELS):
-        rounded = round(float(flux[k]))
-        if abs(flux[k] - rounded) > FLUX_TOL:
-            raise NonConverged(
-                f"flux total {flux[k]!r} for band {tuple(lab)} is not an "
-                "integer to 1e-9; refine the grid"
-            )
-        c1[lab] = int(rounded)
-    return ChernReport(c1=c1, min_gap=min_gap)
+        c1 = _snap(flux)
+    return ChernReport(c1=dict(zip(LABELS, map(int, c1))), min_gap=float(min_gap))
+
+
+def _snap(flux):
+    """round(flux) of one grid (4 labels), or NonConverged naming a band beyond FLUX_TOL."""
+    c1 = np.round(flux)
+    off = np.flatnonzero(~(np.abs(flux - c1) <= FLUX_TOL))
+    if off.size:
+        raise NonConverged(
+            f"flux total {flux[off[0]]!r} for band {tuple(LABELS[off[0]])} is not an "
+            "integer to 1e-9; refine the grid"
+        )
+    return c1
 
 
 def chern_closed(cfg: DriveConfig, label: StateLabel, regime: str) -> int:

@@ -11,7 +11,6 @@ always.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,24 +18,14 @@ import numpy as np
 
 from .errors import DrivenSpinError
 from .geometry import (
-    FLUX_TOL,
-    LINK_TOL,
     _is_topological,
     _sector_masks,
-    _strip_flux,
-    _strip_links,
+    _strip_chern,
     _transition_distance,
     chern_lattice,
 )
-from .qmodel import LABELS, DriveConfig, _require_int, _rotating_hamiltonian, _sector_ratios
-from .spectra import (
-    DEGENERACY_FACTOR,
-    RESIDUAL_FACTOR,
-    _closed_energies,
-    _sector_parameters,
-    band_order,
-    eigh_stack,
-)
+from .qmodel import LABELS, DriveConfig, _require_int, _sector_ratios
+from .spectra import _sector_parameters
 
 DEFAULT_LATTICE_RESOLUTION = 100
 
@@ -126,12 +115,8 @@ def _lattice_codes(c1):
 
 
 def _scan_cell(b, omega, t_lr, phi, method):
-    """One cell, classified on its own by ``classify_point``.
-
-    The lattice scan uses it for every cell that its blocks flag; closed
-    cells come from the array pass of ``_scan_closed``, which gives the
-    same cell.
-    """
+    """One cell, classified on its own by ``classify_point``: the per-cell
+    reference that the tests hold both array scans to."""
     cfg = DriveConfig(b=b, theta=0.0, phi_l=0.0, phi_r=-phi, omega=omega, t_lr=t_lr)
     dist = float(_boundary_distance(*_sector_parameters(cfg, "nonadiabatic")))
     phase = error = None
@@ -158,60 +143,26 @@ def _scan_closed(x_plus, x_minus):
 _LATTICE_BLOCK = 64
 
 
-def _scan_lattice(b, omega, t_lr, phi, base):
+def _scan_lattice(b, omega, base):
     """Lattice (codes, errors) of the cells, in blocks of _LATTICE_BLOCK cells.
 
-    A cell that ``_lattice_block`` flags, and every cell of a block whose
-    eigensolve raises, is classified again on its own by ``_scan_cell``, so
-    its error is the per-cell route's.  Error names are listed in row-major
-    order of first appearance.
+    Each block is one call of ``chern_lattice``'s strip kernel on drive
+    ``base`` at the block's b and omega.  A cell records the name of the
+    kernel's error, or else of the DrivenSpinError that classify_point
+    raises for invariants that do not cancel.  Error names are listed in
+    row-major order of first appearance.
     """
     codes, errors = np.empty(len(b), dtype=int), {}
     for start in range(0, len(b), _LATTICE_BLOCK):
         block = slice(start, start + _LATTICE_BLOCK)
-        try:
-            codes[block] = _lattice_block(b[block], omega[block], base)
-        except DrivenSpinError:
-            codes[block] = -1
-        for i in start + np.flatnonzero(codes[block] < 0):
-            cell = _scan_cell(b[i], omega[i], t_lr, phi, "lattice")
-            codes[i] = (_PHASES.index(cell.phase) if cell.phase else
-                        len(_PHASES) + errors.setdefault(cell.error, len(errors)))
+        cfg = copy.copy(base)  # a block of drives, unvalidated
+        cfg.__dict__.update(b=b[block, None], omega=omega[block, None])
+        c1, _, failures = _strip_chern(cfg, DEFAULT_LATTICE_RESOLUTION, DEFAULT_LATTICE_RESOLUTION)
+        codes[block] = _lattice_codes(c1)
+        for i in np.flatnonzero(codes[block] < 0):
+            name = type(failures.get((i,), DrivenSpinError())).__name__
+            codes[start + i] = len(_PHASES) + errors.setdefault(name, len(errors))
     return codes, list(errors)
-
-
-def _lattice_block(b, omega, base):
-    """Class codes of the lattice cells b, omega (cells,) of drive ``base``, -1
-    where a check of ``chern_lattice`` or ``classify_point`` would fail.
-
-    ``chern_lattice``'s nonadiabatic strip runs once, with a leading cell
-    axis: one eigensolve, the labelling rule of ``_label_bands``, the strip
-    links and flux, the snap to integers and the invariant rule.  A cell is
-    flagged where its gap is below DEGENERACY_FACTOR * b, a closed energy is
-    not finite, its residual exceeds RESIDUAL_FACTOR * b, a link is below
-    LINK_TOL, a flux lies more than FLUX_TOL from an integer, or its
-    invariants do not cancel.
-    """
-    cfg = copy.copy(base)
-    cfg.__dict__.update(b=b[:, None], omega=omega[:, None])  # a block of drives, unvalidated
-    thetas = np.linspace(0.0, math.pi, DEFAULT_LATTICE_RESOLUTION)
-    values, vectors = eigh_stack(_rotating_hamiltonian(cfg, thetas))
-    closed = _closed_energies(cfg, "rotating", thetas)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = np.min(np.diff(values, axis=-1), axis=(1, 2))
-        residual = np.max(np.abs(values - np.sort(closed, axis=-1)), axis=(1, 2))
-    ok = ~(gap < DEGENERACY_FACTOR * b) & ~(residual > RESIDUAL_FACTOR * b)
-    ok &= np.all(np.isfinite(closed), axis=(1, 2))
-    vectors = np.take_along_axis(vectors, band_order(closed)[..., None, :], axis=-1)
-    links = _strip_links(vectors, thetas, DEFAULT_LATTICE_RESOLUTION)
-    ok &= ~(np.minimum(*(np.min(np.abs(link), axis=(1, 2)) for link in links[:2])) < LINK_TOL)
-    codes = np.full(len(b), -1)
-    if ok.any():
-        flux = _strip_flux([link[ok] for link in links], DEFAULT_LATTICE_RESOLUTION)
-        c1 = np.round(flux)
-        snapped = np.all(np.abs(flux - c1) <= FLUX_TOL, axis=-1)
-        codes[ok] = np.where(snapped, _lattice_codes(c1), -1)
-    return codes
 
 
 def _centres(lo: float, hi: float, n: int) -> np.ndarray:
@@ -252,7 +203,7 @@ def _scan_columns(b_range, omega_range, t_lr, phi, n_b, n_omega, method):
     if method == "closed":
         codes, errors = _scan_closed(x_plus, x_minus)
     elif method == "lattice":
-        codes, errors = _scan_lattice(b, omega, t_lr, phi, base)
+        codes, errors = _scan_lattice(b, omega, base)
     else:
         raise ValueError(f"method must be 'closed' or 'lattice', got {method!r}")
     return b, omega, codes, _boundary_distance(x_plus, x_minus), errors
@@ -278,12 +229,12 @@ def scan_diagram(
 
     The closed method classifies the whole grid in one array pass
     (``_scan_closed``).  The lattice method runs ``chern_lattice``'s
-    nonadiabatic strip on blocks of _LATTICE_BLOCK cells, each from one
-    eigensolve (``_lattice_block``), and classifies a cell that any check of
-    that route flags on its own through ``_scan_cell``, so every cell and
-    error name is the per-cell route's.  Either way the boundary distances
-    are one array expression.  ``phase-diagram`` renders the same grid from
-    its columns, without building the cells.
+    nonadiabatic strip kernel on blocks of _LATTICE_BLOCK cells, each from
+    one eigensolve (``_scan_lattice``), and names a failing cell's error
+    from its block, so every cell and error name is the per-cell route's.
+    Either way the boundary distances are one array expression.
+    ``phase-diagram`` renders the same grid from its columns, without
+    building the cells.
 
     Returns the cells in row-major order (B outer, Omega inner).
     """

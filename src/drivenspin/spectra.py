@@ -380,7 +380,7 @@ def _label_bands(cfg, regime, values, theta=None, where=None):
     is refused with UnsupportedPhase before any value is read.
     """
     cfg.phase_branch()
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a spectrum overflowing to inf - inf
         gaps = np.diff(values, axis=-1)
     min_gap = float(np.min(gaps))
     if min_gap < DEGENERACY_FACTOR * cfg.b:

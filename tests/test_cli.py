@@ -207,6 +207,9 @@ class TestErrors:
             ("berry --b 1.5e308 --omega 1.5e308 --regime nonadiabatic --theta-steps 2",
              0, None),
             ("chern --b 1.7e308 --t-lr 1e308 --phi pi", 3, "NonConverged"),
+            # a spectrum that overflows to inf - inf: its gaps are nan, not a warning
+            ("chern --regime nonadiabatic --b 1.3482e308 --omega 4.494e307 --t-lr 1.79e308"
+             " --phi pi", 3, "NonConverged"),
             ("phase-diagram --b-min 1e308 --b-max 1.7e308 --omega-min 1e308"
              " --omega-max 1.7e308 --n-b 2 --n-omega 2 --method lattice", 0, None),
             # a finite range has finite cell centres; the sector parameter may overflow

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from drivenspin import (
     DriveConfig,
+    DrivenSpinError,
     OnTransition,
     StateLabel,
     UnsupportedPhase,
@@ -19,10 +20,11 @@ from drivenspin import (
     classify_point,
     scan_diagram,
 )
-from drivenspin import phasescan
+from drivenspin import geometry, phasescan
 from drivenspin.cli import main
 from drivenspin.geometry import TRANSITION_TOL
 from drivenspin.phasescan import PhaseClass, PhaseDiagramCell
+from test_geometry import _single_pass_chern
 
 
 def point(b, omega, t_lr=1.0, phi=math.pi):
@@ -167,21 +169,23 @@ class TestScanDiagram:
 
     def test_every_cell_runs_on_the_calling_thread(self, monkeypatch):
         """The lattice scan solves each block of cells in one eigensolve on the
-        calling thread, and classifies on its own only a cell that a block flags."""
+        calling thread, and names a flagged cell's error from that block: no
+        cell is classified again on its own."""
         calls = []
 
-        def recording(name):
-            fn = getattr(phasescan, name)
+        def recording(module, name):
+            fn = getattr(module, name)
 
-            def wrapped(*args):
-                work = args[:2] if name == "_scan_cell" else np.shape(args[0])
+            def wrapped(*args, **kwargs):
+                work = np.shape(args[0]) if name == "eigh_stack" else args[:2]
                 calls.append((name, threading.get_ident(), work))
-                return fn(*args)
+                return fn(*args, **kwargs)
 
-            monkeypatch.setattr(phasescan, name, wrapped)
+            monkeypatch.setattr(module, name, wrapped)
 
-        recording("_scan_cell")
-        recording("eigh_stack")
+        for name in ("_scan_cell", "classify_point", "chern_lattice"):
+            recording(phasescan, name)
+        recording(geometry, "eigh_stack")
         me = threading.get_ident()
         closed = scan_diagram((0, 6), (0, 6), 1.0, math.pi, 4, 4)
         assert calls == []  # the closed scan is one array pass, no per-cell calls
@@ -194,19 +198,20 @@ class TestScanDiagram:
             c.phase for c in scan_diagram((1, 4), (0.5, 4), **kwargs)
         ]
         assert all(c.phase is not None for c in lattice)
-        # the default 10x10 cells are two blocks, each solved before its
-        # flagged cells: the 10 on b = omega, which fail alone as DegenerateGap
+        # the default 10x10 cells are two blocks; the 10 cells on b = omega
+        # fail as DegenerateGap, named from their block's solve
+        blocks = [("eigh_stack", me, (64, 100, 4, 4)), ("eigh_stack", me, (36, 100, 4, 4))]
         calls.clear()
         cells = scan_diagram((0, 6), (0, 6), 1.0, math.pi, 10, 10, method="lattice")
-        diagonal = [(k, (c.b, c.omega)) for k, c in enumerate(cells) if c.b == c.omega]
-        assert [(c.b, c.omega) for c in cells if c.phase is None] == [bw for _, bw in diagonal]
+        refused = [(c.b, c.omega) for c in cells if c.phase is None]
+        assert len(refused) == 10 and refused == [(c.b, c.omega) for c in cells if c.b == c.omega]
         assert {c.error for c in cells if c.phase is None} == {"DegenerateGap"}
-        assert calls == [
-            ("eigh_stack", me, (64, 100, 4, 4)),
-            *(("_scan_cell", me, bw) for k, bw in diagonal if k < 64),
-            ("eigh_stack", me, (36, 100, 4, 4)),
-            *(("_scan_cell", me, bw) for k, bw in diagonal if k >= 64),
-        ]
+        assert calls == blocks
+        # t_lr = 0 decouples the sites: every cell fails, and none is solved again
+        calls.clear()
+        cells = scan_diagram((0, 6), (0, 6), 0.0, math.pi, 10, 10, method="lattice")
+        assert {(c.phase, c.error) for c in cells} == {(None, "DegenerateGap")}
+        assert calls == blocks
 
     def test_lattice_memory_does_not_grow_with_cells(self):
         def traced_peak(n):
@@ -289,6 +294,17 @@ class TestScanDiagram:
             assert [(c.b, c.omega) for c in cells] == [
                 (b, w) for b in centres[0] for w in centres[1]
             ]
+
+    def test_overflowing_spectrum_is_named_without_warning(self):
+        """Spectra that overflow to inf - inf are labelled without a numpy
+        warning; each cell records its error name."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = scan_diagram((1, 1.7976e308), (1, 1.7976e308), 1.79e308, math.pi, 2, 2,
+                                 method="lattice")
+        assert [c.error for c in cells] == [
+            "DegenerateGap", "NonConverged", "NonConverged", "DegenerateGap"
+        ]
 
     def test_overflowing_cell_exits_nonconverged_without_warning(self, capsys):
         argv = "phase-diagram --b-min 1e-14 --b-max 1e-13 --omega-max 1e+295"
@@ -427,3 +443,41 @@ def test_lattice_scan_matches_the_scalar_route(grid):
     for cell in cells:
         assert type(cell.b) is type(cell.omega) is type(cell.boundary_distance) is float
         assert cell == phasescan._scan_cell(cell.b, cell.omega, t_lr, phi, "lattice")
+
+
+def _full_grid_outcome(b, omega, t_lr, phi):
+    """The phase, or the error name, of one cell by the uncarried route: the
+    full 100x100 cyclic-state grid summed by ``lattice_flux``, snapped to
+    integers within 1e-9 and classified by the invariant rule."""
+    cfg = point(b, omega, t_lr=t_lr, phi=phi)
+    n = phasescan.DEFAULT_LATTICE_RESOLUTION
+    try:
+        flux, _ = _single_pass_chern(cfg, n, n, "nonadiabatic")
+    except DrivenSpinError as exc:
+        return type(exc).__name__
+    c1 = np.round(flux)
+    if not np.all(np.abs(flux - c1) <= 1e-9):
+        return "NonConverged"
+    code = int(phasescan._lattice_codes(c1))
+    return phasescan._PHASES[code] if code >= 0 else "DrivenSpinError"
+
+
+def test_lattice_scan_matches_the_full_grid():
+    """Each cell of the lattice scan has the phase, or the error name, of the
+    full-grid route, which shares no strip, block or kernel with it.  Seeded
+    3x3 diagrams on both branches: free ranges, t_lr = 0 (every gap closes),
+    b = omega diagonals and t_lr / b ~ 1e8 (AmbiguousMatch)."""
+    rng = np.random.default_rng(31)
+    seen = set()
+    for k in range(16):
+        phi, kind = (0.0, math.pi)[k % 2], ("free", "decoupled", "diagonal", "strong")[k // 2 % 4]
+        b_lo, w_lo = rng.uniform(0.05, 3.0), rng.uniform(0.0, 3.0)
+        b_range = (b_lo, b_lo + rng.uniform(0.5, 4.0))
+        omega_range = b_range if kind == "diagonal" else (w_lo, w_lo + rng.uniform(0.5, 4.0))
+        t_lr = {"decoupled": 0.0, "strong": b_range[1] * rng.uniform(1e8, 1e9)}.get(
+            kind, rng.uniform(0.0, 2.0))
+        for cell in scan_diagram(b_range, omega_range, t_lr, phi, 3, 3, method="lattice"):
+            outcome = cell.phase or cell.error
+            assert outcome == _full_grid_outcome(cell.b, cell.omega, t_lr, phi), (kind, cell)
+            seen.add(outcome if cell.error else "classified")
+    assert seen == {"classified", "DegenerateGap", "AmbiguousMatch"}
