@@ -31,10 +31,10 @@ from .spectra import _closed_energies, _closed_energy_table, _sector_roots, band
 
 SCHEMA_VERSION = 1
 
-#: Largest grid one command may request: theta rows, Wilson-loop points
-#: summed over the rows, lattice sites, RK4 steps, closed diagram cells or
-#: the lattice sites of all lattice diagram cells.  Larger grids exhaust
-#: memory or run for hours, so they are refused before any computation.
+#: Largest grid one command may request: theta rows, lattice sites, RK4
+#: steps, closed diagram cells or the lattice sites of all lattice diagram
+#: cells.  Larger grids exhaust memory or run for hours, so they are refused
+#: before any computation.
 MAX_GRID_POINTS = 2**20
 
 #: (flags, their attributes, points per unit, condition) of each grid a
@@ -42,8 +42,6 @@ MAX_GRID_POINTS = 2**20
 #: attributes and meets its (attribute, value) condition, if it has one.
 _GRIDS = (
     ("--theta-steps", ("theta_steps",), 1, None),
-    # adiabatic berry: one Wilson loop per theta row, each up to 2 * --n-steps points
-    ("--theta-steps * 2 * --n-steps", ("theta_steps", "n_steps"), 2, ("regime", "adiabatic")),
     ("--n-theta * --n-phi", ("n_theta", "n_phi"), 1, None),
     ("--rk4-steps", ("rk4_steps",), 1, None),
     ("--n-b * --n-omega", ("n_b", "n_omega"), 1, ("method", "closed")),
@@ -115,8 +113,8 @@ def _json_dumps(obj) -> str:
 
 #: Parameters a document records, in this order, for the subcommands that have them.
 _PARAM_KEYS = (
-    "b theta phi omega t_lr regime method theta_steps theta_min theta_max n_steps"
-    " n_theta n_phi m1 m2 rk4_steps b_min b_max omega_min omega_max n_b n_omega"
+    "b theta phi omega t_lr regime method theta_steps theta_min theta_max n_theta"
+    " n_phi m1 m2 rk4_steps b_min b_max omega_min omega_max n_b n_omega"
 ).split()
 
 
@@ -290,13 +288,11 @@ def cmd_spectrum(args) -> tuple[tuple, dict]:
 
 def cmd_berry(args) -> tuple[tuple, dict]:
     """Geometric-phase curves vs theta: numerical route, closed form, difference,
-    as arrays over all rows and bands; a row names the last band that failed
-    (the numerical route's NonConverged first), or the error of its own solve."""
+    as arrays over all rows and bands; a row names the last band whose closed
+    form failed, or the error of its own solve."""
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
     cfg = _config_from(args)
     adiabatic = args.regime == "adiabatic"
-    if adiabatic:
-        geometry._require_wilson_steps(args.n_steps)  # before any eigensolve
 
     def band_vectors(ths):
         """Labelled eigenvectors (rows, 4, 4 labels); adiabatic ones at varphi = 0."""
@@ -321,14 +317,9 @@ def cmd_berry(args) -> tuple[tuple, dict]:
                 names.append(type(exc).__name__)
                 solve_codes[i] = len(names) - 1
     closed, codes = geometry._closed_phases(args.regime, *_sector_roots(cfg, args.regime, thetas))
-    extra = {}
-    if adiabatic:
-        numeric, gaps = geometry._loop_band_phases(vectors, args.n_steps)
-        codes[gaps > geometry.WILSON_CONV_TOL] = 2  # before the closed form's failure
-        gap = np.max(gaps, where=solve_codes[:, None] == 0, initial=0.0)
-        extra["max_wilson_convergence_gap"] = float(gap)
-    else:
-        numeric = geometry.fold_phase(2.0 * math.pi * geometry._sz_total(vectors.swapaxes(1, 2)))
+    # the solid angle 2 pi <Sz_total>; a loop also carries U(2 pi) = -1, a cyclic state does not
+    sz = geometry._sz_total(vectors.swapaxes(1, 2))
+    numeric = geometry.fold_phase(2.0 * math.pi * sz - (math.pi if adiabatic else 0.0))
     codes = np.maximum(codes, solve_codes[:, None])  # a failed solve's code exceeds 2
     diff = geometry.circular_distance(numeric, closed)
     cells = np.stack([numeric, closed, diff], axis=-1).astype(object)
@@ -341,7 +332,7 @@ def cmd_berry(args) -> tuple[tuple, dict]:
     worst = float(np.max(diff, where=codes == 0, initial=0.0))
     failed = int(np.count_nonzero(row_codes))
     return (header + ["error"], columns), {"max_circular_difference": worst,
-                                           "failed_rows": failed, **extra}
+                                           "failed_rows": failed}
 
 
 def cmd_chern(args) -> tuple[tuple, dict]:
@@ -481,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--theta-max", dest="theta_max", type=parse_angle, default=math.pi - 0.02
     )
-    p.add_argument("--n-steps", dest="n_steps", type=int, default=512)
     p.set_defaults(handler=cmd_berry)
 
     p = sub.add_parser("chern", help="per-band Chern numbers, both methods")

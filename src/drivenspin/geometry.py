@@ -1,7 +1,7 @@
 """Geometric phases, curvature and Chern numbers of the driven two-site qubit.
 
 Every numerical route here multiplies gauge-invariant band-state overlaps,
-and all but the adiabatic Berry loop (see below) reduce them with one of:
+and reduces them with one of:
 
 * ``wilson_loop_phase`` -- the phase of a product of normalized overlaps of
   band states around a closed loop (the discrete holonomy);
@@ -25,11 +25,14 @@ the lattice routines never evaluate a closed-form curvature or phase, only
 closed-form *energies* for band labeling.
 
 The family is covariant under U = exp(-i varphi Sz_total), H(theta,
-varphi) = U H(theta, 0) U^dag, so the adiabatic Wilson loop is the loop of
-labelled eigenstates v at varphi = 0 carried around by U, as the
-cyclic-state family carries the rotating-frame ones; a loop reads no
-per-state phase, so this is the loop of states diagonalized at every point,
-and each link of an n-point loop is the one overlap <v|U(2 pi / n)|v>.  The
+varphi) = U H(theta, 0) U^dag, so the eigenstates around a constant-theta
+loop are the labelled ones v at varphi = 0 carried by U, as the cyclic-state
+family carries the rotating-frame ones.  Each link of an n-point loop is then
+<v|U(2 pi / n)|v>, and the loop phase tends to 2 pi <Sz_total> - pi of v:
+the solid angle, and the pi of the spin rotation's U(2 pi) = -1, which a
+loop carries and the cyclic connection does not.  The CLI ``berry``
+column reads that limit, and ``berry_phase_wilson``, which diagonalizes
+every point of its loop and carries nothing, is the check on it.  The
 lattice flux telescopes to the pole rows: ``chern_lattice``'s c1 of a band
 equals <Sz_total> of its labelled south-pole (theta = pi) state minus that
 of its north-pole state.  The labels come from the closed-form energies, so the
@@ -161,9 +164,13 @@ def wilson_loop_phase(states: np.ndarray) -> float:
         one value per trailing band when a band axis is present.
     """
     states = np.asarray(states)
+    if states.ndim < 2 or states.size == 0:
+        raise ValueError(
+            f"states need at least 1 loop point of 1 component, got shape {states.shape}"
+        )
     nxt = np.roll(states, -1, axis=0)
     links = np.einsum("ki...,ki...->k...", np.conj(states), nxt)
-    if np.min(np.abs(links)) < 0.5:
+    if not np.min(np.abs(links)) >= 0.5:  # nan included
         raise NonConverged(
             "a loop overlap dropped below 0.5; the loop is under-resolved "
             "or crosses a band degeneracy"
@@ -214,7 +221,7 @@ def _plaquettes(links_p, links_t, links_t_next):
     ``links_t_next`` the theta links of columns j and j + 1.  A vanishing
     varphi link or column-j theta link raises NonConverged.
     """
-    if min(np.min(np.abs(links_p)), np.min(np.abs(links_t))) < LINK_TOL:
+    if not (np.min(np.abs(links_p)) >= LINK_TOL and np.min(np.abs(links_t)) >= LINK_TOL):
         raise NonConverged("vanishing link overlap; grid hits a band degeneracy")
     return links_p[:-1] * links_t_next * np.conj(links_p[1:]) * np.conj(links_t)
 
@@ -356,47 +363,26 @@ def _strip_chern(cfg, n_theta: int, n_phi: int):
 # ---------------------------------------------------------------------------
 
 
-def _carried_loop_phases(vectors, n: int):
-    """Raw phases (..., 4) of the n-point Wilson loops carried from labelled
-    vectors v (..., 4, 4 labels) at varphi = 0: every link is <v|U(2 pi / n)|v>
-    and the closing one also carries U(-2 pi) = -1, so a band's phase is
-    -(n arg(link) + pi), folded.  |link| >= cos(pi / n), so no link vanishes.
-    """
-    link = np.exp(-2j * math.pi * SZ_TOTAL_DIAG / n) @ (np.abs(vectors) ** 2)
-    return fold_phase(-(n * np.angle(link) + math.pi))
-
-
-def _require_wilson_steps(n_steps: int) -> int:
-    """n_steps as an int, if it is an even integer of at least 64."""
-    if _require_int("n_steps", n_steps) < 64 or n_steps % 2:
-        raise ValueError(f"n_steps must be even and >= 64, got {n_steps}")
-    return int(n_steps)
-
-
 @lru_cache(maxsize=128)
 def _wilson_band_phases(cfg: DriveConfig, n_steps: int):
-    """``_loop_band_phases`` at cfg.theta, from one labelled solve of one
-    matrix at varphi = 0 for all four bands (the spectrum does not depend on
-    varphi), or the DrivenSpinError that solve raised: the cache keeps a
-    failure too, so a failing loop is solved once for all its bands."""
+    """Richardson-extrapolated Wilson-loop (phases, convergence gaps), each
+    (4,), of the four bands around the loop at cfg.theta, or the
+    DrivenSpinError its computation raised: the cache keeps a failure too,
+    so a failing loop is solved once for all its bands.
+
+    The loop is diagonalized at every point of its finest ring, 2 * n_steps
+    points in one labelled solve, and carries no state.  The raw loop
+    converges as O(1/n^2); its phases on the nested rings of n_steps / 2,
+    n_steps and 2 * n_steps points (every fourth, every second and every
+    point) are extrapolated pairwise.  The convergence gap is the circular
+    distance between the two extrapolated values.
+    """
+    phis = 2.0 * math.pi * np.arange(2 * n_steps) / (2 * n_steps)
     try:
-        v = _adiabatic_band_states(cfg, np.array([cfg.theta]), [0.0])[0][0, 0]
+        ring = _adiabatic_band_states(cfg, np.array([cfg.theta]), phis)[0][0]
+        g = np.stack([wilson_loop_phase(ring[::m]) for m in (4, 2, 1)])
     except DrivenSpinError as exc:
         return exc
-    return _loop_band_phases(v, n_steps)
-
-
-def _loop_band_phases(vectors, n_steps: int):
-    """Richardson-extrapolated Wilson-loop (phases, convergence gaps), each
-    (..., 4), of the loops carried from labelled vectors (..., 4, 4 labels).
-
-    The raw loop converges as O(1/n^2); phases are evaluated on nested
-    loops of n_steps/2, n_steps and 2*n_steps points, each read from one
-    link (``_carried_loop_phases``), and extrapolated pairwise.  The
-    convergence gap is the circular distance between the two extrapolated
-    values, which must not exceed WILSON_CONV_TOL.
-    """
-    g = np.stack([_carried_loop_phases(vectors, m * n_steps // 2) for m in (1, 2, 4)])
     r_low, r_high = fold_phase(g[1:] + fold_phase(g[1:] - g[:-1]) / 3.0)  # pairwise
     return r_high, circular_distance(r_high, r_low)
 
@@ -410,9 +396,10 @@ def berry_phase_wilson(
     """Geometric phase of one band around the constant-theta drive loop.
 
     The loop product of instantaneous-eigenstate overlaps runs over varphi
-    from 0 to 2 pi and is gauge invariant; the eigenvectors are those at
-    varphi = 0 carried around by exp(-i varphi Sz_total), so the product is
-    minus the n-th power of one link.  It is one band of the cached
+    from 0 to 2 pi and is gauge invariant.  Every loop point is diagonalized
+    and labelled, with no use of the drive's rotation covariance, so this
+    is an independent check on the CLI ``berry`` column's rule,
+    2 pi <Sz_total> - pi.  It is one band of the cached
     ``_wilson_band_phases``, so the other bands of a solved loop are free.
 
     Parameters
@@ -432,12 +419,15 @@ def berry_phase_wilson(
         If the four bands are not cleanly separated along the loop.
     NonConverged
         If doubling the resolution would still move the extrapolated
-        result by more than WILSON_CONV_TOL.
+        result by more than WILSON_CONV_TOL, or a loop overlap drops
+        below 0.5.
     UnsupportedPhase
         Away from the phi in {0, pi} branches, before the bands are labelled.
     """
     # n_steps is checked before the cache, which would take 64.0 for 64
-    phases = _wilson_band_phases(replace(cfg, theta=float(theta)), _require_wilson_steps(n_steps))
+    if _require_int("n_steps", n_steps) < 64 or n_steps % 2:
+        raise ValueError(f"n_steps must be even and >= 64, got {n_steps}")
+    phases = _wilson_band_phases(replace(cfg, theta=float(theta)), int(n_steps))
     if isinstance(phases, DrivenSpinError):
         raise copy.copy(phases)  # a fresh error per call, as if solved again
     value, gap = (float(a[LABELS.index(StateLabel(*label))]) for a in phases)
@@ -473,7 +463,10 @@ def rotating_sz_expectation(cfg: DriveConfig, label: StateLabel) -> float:
     """<Sz_total> of the labeled rotating-frame eigenvector.
 
     This is the cyclic-state connection coefficient: 2 pi times this value
-    is the numerical route to ``aa_phase_closed``.
+    is the numerical route to ``aa_phase_closed``.  The CLI ``berry``
+    column is 2 pi <Sz_total> of each row's labelled eigenvector in both
+    regimes: this one when nonadiabatic, and the adiabatic one at
+    varphi = 0, less a loop's pi, when adiabatic.
     """
     vectors, _ = _rotating_band_vectors(cfg, np.array([cfg.theta]))
     return _sz_total(vectors[0, :, LABELS.index(StateLabel(*label))])

@@ -22,7 +22,6 @@ from drivenspin import (
     NonConverged,
     aa_phase_closed,
     berry_phase_closed,
-    berry_phase_wilson,
     circular_distance,
     cli,
     fold_phase,
@@ -385,14 +384,11 @@ class TestErrors:
         "argv,flag,at_cap",
         [
             ("spectrum --b 2 --theta-steps {}", "--theta-steps", (MAX_GRID_POINTS,)),
-            ("berry --b 2 --n-steps {} --theta-steps 1", "--theta-steps * 2 * --n-steps",
-             (MAX_GRID_POINTS // 2,)),
             ("chern --b 2 --n-theta {} --n-phi {}", "--n-theta * --n-phi", (1024, 1024)),
             ("evolve --b 2 --theta 1 --omega 1 --rk4-steps {}", "--rk4-steps",
              (MAX_GRID_POINTS,)),
             ("phase-diagram --n-b {} --n-omega {}", "--n-b * --n-omega", (1024, 1024)),
-            ("berry --b 2 --theta-steps {} --n-steps 512", "--theta-steps * 2 * --n-steps",
-             (MAX_GRID_POINTS // 1024,)),
+            ("berry --b 2 --theta-steps {}", "--theta-steps", (MAX_GRID_POINTS,)),
             ("berry --b 2 --regime nonadiabatic --theta-steps {}", "--theta-steps",
              (MAX_GRID_POINTS,)),
             # 104 cells of 100x100 lattice sites are 1,040,000 points
@@ -423,37 +419,6 @@ class TestErrors:
         record = json.loads(err.splitlines()[-1])["error"]
         assert record["name"] == "ValidationError"
         assert f"argument {flag}:" in record["message"]
-
-    def test_berry_cap_counts_every_row(self, capsys, monkeypatch):
-        # each count is within the cap; their product is 2**19 times over it
-        def handler(args):
-            raise AssertionError("handler reached")
-
-        monkeypatch.setattr(cli, "cmd_berry", handler)
-        code, out, err = run_cli(
-            capsys, "berry", "--b", "2", "--theta-steps", "1048576", "--n-steps", "262144"
-        )
-        assert code == 2 and out == ""
-        record = json.loads(err.splitlines()[-1])["error"]
-        assert record["name"] == "ValidationError"
-        assert "argument --theta-steps * 2 * --n-steps:" in record["message"]
-
-    def test_berry_product_cap_is_adiabatic_only(self, capsys, monkeypatch):
-        # a nonadiabatic sweep never reads --n-steps; --theta-steps alone caps it
-        class Reached(Exception):
-            pass
-
-        def handler(args):
-            raise Reached
-
-        monkeypatch.setattr(cli, "cmd_berry", handler)
-        drive = "berry --b 2 --t-lr 1 --phi pi --omega 1.5 --theta-steps {} --regime {}"
-        with pytest.raises(Reached):
-            main(drive.format(2000, "nonadiabatic").split())
-        code, out, err = run_cli(capsys, *drive.format(1025, "adiabatic").split())
-        assert code == 2 and out == ""
-        record = json.loads(err.splitlines()[-1])["error"]
-        assert "argument --theta-steps * 2 * --n-steps:" in record["message"]
 
     @pytest.mark.parametrize("target", ["no-such-dir/out.json", "a-directory"])
     def test_unwritable_out_is_validation_error(self, capsys, tmp_path, target):
@@ -513,7 +478,7 @@ class TestBerry:
         # where the anti-phase bands cross
         code, out, _ = run_cli(
             capsys, "berry", "--b", "2", "--t-lr", "0.6", "--phi", "pi",
-            "--theta-steps", "8", "--n-steps", "128",
+            "--theta-steps", "8",
         )
         assert code == 0
         doc = json.loads(out)
@@ -525,7 +490,7 @@ class TestBerry:
         # reported with its taxonomy name instead of aborting the table
         code, out, _ = run_cli(
             capsys, "berry", "--b", "2", "--t-lr", "0.6", "--phi", "pi",
-            "--theta-steps", "7", "--n-steps", "128",
+            "--theta-steps", "7",
         )
         assert code == 0
         doc = json.loads(out)
@@ -540,7 +505,7 @@ class TestBerry:
         def coverage(t_lr):
             code, out, _ = run_cli(
                 capsys, "berry", "--b", "2", "--t-lr", str(t_lr), "--phi", "pi",
-                "--theta-steps", "60", "--n-steps", "128",
+                "--theta-steps", "60",
             )
             assert code == 0
             doc = json.loads(out)
@@ -561,25 +526,6 @@ class TestBerry:
         assert code == 0
         doc = json.loads(out)
         assert doc["diagnostics"]["max_circular_difference"] < 1e-8
-
-    def test_wilson_convergence_gap_counts_failing_bands(self, capsys):
-        # this one row fails NonConverged at --n-steps 68; the diagnostic is
-        # the largest Richardson gap of any solved band, the failing ones too
-        theta = "1.1423973285781066"
-        code, out, _ = run_cli(
-            capsys, "berry", "--b", "2", "--t-lr", "1.0664239544486065", "--phi", "0",
-            "--theta-steps", "1", "--theta-min", theta, "--theta-max", theta, "--n-steps", "68",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert [row[-1] for row in doc["results"]["rows"]] == ["NonConverged"]
-        assert doc["diagnostics"]["max_wilson_convergence_gap"] > geometry.WILSON_CONV_TOL
-        # the nonadiabatic route has no Wilson loop and no such key
-        code, out, _ = run_cli(capsys, "berry", "--b", "2", "--t-lr", "1", "--omega", "1.5",
-                               "--regime", "nonadiabatic", "--theta-steps", "3")
-        assert code == 0 and list(json.loads(out)["diagnostics"]) == [
-            "max_circular_difference", "failed_rows"
-        ]
 
     def test_nonadiabatic_degenerate_row_captured(self, capsys):
         # sqrt(1 + mu^2) = lam: two in-phase rotating levels cross at theta = pi/2
@@ -626,27 +572,28 @@ def test_berry_adiabatic_diagonalizes_once(eigh_calls, capsys):
 
 
 def test_berry_adiabatic_solves_each_row_once(eigh_calls, capsys):
-    """After the sweep fails, one labelled Wilson-loop solve per adiabatic row
-    serves its four bands, also when the row fails and no result is cached."""
-    geometry._wilson_band_phases.cache_clear()
-    assert main("berry --b 2 --t-lr 0.6 --phi pi --theta-steps 7 --n-steps 128".split()) == 0
+    """After the sweep fails, one labelled solve per adiabatic row serves its
+    four bands, also when the row fails."""
+    assert main("berry --b 2 --t-lr 0.6 --phi pi --theta-steps 7".split()) == 0
     assert json.loads(capsys.readouterr().out)["diagnostics"]["failed_rows"] == 1
     assert eigh_calls == [(7, 1, 4, 4)] + [(1, 1, 4, 4)] * 7
     eigh_calls.clear()
     # decoupled sites: every row is a DegenerateGap
-    assert main("berry --b 2 --t-lr 0 --theta-steps 3 --n-steps 128".split()) == 0
+    assert main("berry --b 2 --t-lr 0 --theta-steps 3".split()) == 0
     rows = json.loads(capsys.readouterr().out)["results"]["rows"]
     assert [row[-1] for row in rows] == ["DegenerateGap"] * 3
     assert eigh_calls == [(3, 1, 4, 4)] + [(1, 1, 4, 4)] * 3
 
 
-@pytest.mark.parametrize("n_steps", ["63", "32"])
+@pytest.mark.parametrize("n_steps", ["512", "63", "32"])
 def test_berry_n_steps_refused_before_the_sweep(eigh_calls, capsys, n_steps):
+    """berry has no loop resolution to tune, so --n-steps is an unknown
+    argument at any value, refused before any eigensolve."""
     code, out, err = run_cli(capsys, "berry", "--b", "2", "--t-lr", "0.6", "--n-steps", n_steps)
     assert (code, out, eigh_calls) == (2, "", [])
-    assert json.loads(err)["error"] == {
+    assert json.loads(err.splitlines()[-1])["error"] == {
         "name": "ValidationError",
-        "message": f"n_steps must be even and >= 64, got {n_steps}",
+        "message": f"unrecognized arguments: --n-steps {n_steps}",
     }
 
 
@@ -676,19 +623,22 @@ def test_berry_theta_range_refused_before_the_sweep(eigh_calls, capsys, regime, 
     }
 
 
-def _per_band_berry_row(cfg0, theta, n_steps=None):
-    """A berry row from one labelled eigensolve per band: nonadiabatic, or
-    adiabatic from per-band Wilson loops of resolution n_steps."""
+def _per_band_berry_row(cfg0, theta, adiabatic=False):
+    """A berry row from one labelled eigensolve per band: 2 pi <Sz_total> of
+    the rotating-frame eigenvector, or, adiabatic, 2 pi <Sz_total> - pi of
+    the labelled eigenstate at varphi = 0."""
     cfg = replace(cfg0, theta=theta)
     row, err = [theta], None
     for lab in LABELS:
         try:
-            if n_steps is None:
+            if adiabatic:
+                v = geometry._adiabatic_band_states(cfg, np.array([theta]), [0.0])[0][0, 0]
+                sz = geometry._sz_total(v[:, LABELS.index(lab)])
+                numeric = fold_phase(2.0 * math.pi * sz - math.pi)
+                closed = berry_phase_closed(cfg, theta, lab)
+            else:
                 numeric = fold_phase(2.0 * math.pi * rotating_sz_expectation(cfg, lab))
                 closed = aa_phase_closed(cfg, lab)
-            else:
-                numeric = berry_phase_wilson(cfg, theta, lab, n_steps=n_steps)
-                closed = berry_phase_closed(cfg, theta, lab)
             row += [numeric, closed, circular_distance(numeric, closed)]
         except DrivenSpinError as exc:
             err = type(exc).__name__
@@ -749,8 +699,8 @@ def test_berry_failing_sweep_solves_each_row_once(eigh_calls, capsys):
 
 @st.composite
 def adiabatic_sweeps(draw):
-    """(argv, drive, thetas) of an adiabatic berry sweep at --n-steps 64; draws
-    include decoupled sites (t_lr = 0) and lam = 1 (t_lr = b/2), both failing."""
+    """(argv, drive, thetas) of an adiabatic berry sweep; draws include
+    decoupled sites (t_lr = 0) and lam = 1 (t_lr = b/2), both failing."""
     b = draw(st.floats(0.3, 5.0))
     t_lr = draw(st.one_of(st.floats(0.0, 3.0), st.just(0.0), st.just(b / 2)))
     phi = draw(st.sampled_from([0.0, math.pi]))
@@ -760,15 +710,14 @@ def adiabatic_sweeps(draw):
     argv = [
         "berry", "--b", repr(b), "--t-lr", repr(t_lr), "--phi", repr(phi),
         "--theta-steps", str(n), "--theta-min", repr(lo), "--theta-max", repr(hi),
-        "--n-steps", "64",
     ]
     drive = DriveConfig(b=b, theta=0.0, phi_r=-phi, t_lr=t_lr)
     return argv, drive, np.linspace(lo, hi, n)
 
 
 def test_berry_adiabatic_matches_per_band_route():
-    """The one-solve-per-row table equals per-band Wilson loops, number for
-    number, with the same error name in each failing row."""
+    """The one-sweep table equals a per-band eigensolve, number for number,
+    with the same error name in each failing row."""
     failing = []
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -779,13 +728,44 @@ def test_berry_adiabatic_matches_per_band_route():
         with redirect_stdout(out):
             assert main(argv) == 0
         rows = json.loads(out.getvalue())["results"]["rows"]
-        # else the reference would read the rows the command cached
-        geometry._wilson_band_phases.cache_clear()
-        assert rows == [_per_band_berry_row(drive, float(th), 64) for th in thetas]
+        assert rows == [_per_band_berry_row(drive, float(th), adiabatic=True) for th in thetas]
         failing.extend(row[-1] for row in rows if row[-1] is not None)
 
     check()
     assert len(failing) >= 10
+
+
+@pytest.mark.parametrize("drive", [
+    "--t-lr 1.2 --phi pi", "--t-lr 1 --phi pi --omega 1.5 --regime nonadiabatic"
+])
+def test_berry_numeric_column_reads_no_closed_phase(monkeypatch, drive):
+    """Shifting every closed-form phase moves the closed_* and circdiff_*
+    columns and leaves the num_* columns bit for bit as they were."""
+    argv = ["berry", "--b", "2", *drive.split()]
+
+    def columns():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        doc = json.loads(out.getvalue(), parse_float=str)["results"]  # texts keep every bit
+        return {name: [row[j] for row in doc["rows"]] for j, name in enumerate(doc["columns"])}
+
+    want = columns()
+    closed_phases = geometry._closed_phases
+
+    def shifted(*args):
+        phases, code = closed_phases(*args)
+        return fold_phase(phases + 0.25), code
+
+    monkeypatch.setattr(geometry, "_closed_phases", shifted)
+    got = columns()
+    assert got.keys() == want.keys() and got["error"] == want["error"] == [None] * 50
+    for name in want:
+        stem = name.split("_")[0]
+        if stem in ("num", "theta"):
+            assert got[name] == want[name], name
+        elif stem in ("closed", "circdiff"):
+            assert all(g != w for g, w in zip(got[name], want[name])), name
 
 
 class TestChern:
@@ -1090,7 +1070,7 @@ def cli_argv(draw):
     argv += ["--regime", draw(st.sampled_from(["adiabatic", "nonadiabatic"]))]
     if command == "berry":
         steps = draw(st.integers(1, 3))
-        return argv + ["--theta-steps", str(steps), "--n-steps", "64"]
+        return argv + ["--theta-steps", str(steps)]
     return argv + ["--n-theta", "20", "--n-phi", "20"]
 
 

@@ -175,6 +175,12 @@ class TestWilson:
         assert {str(exc) for exc in raised} == {
             "eigenvalue gap 0.000e+00 below 2.0e-06 at grid point theta=1.000000, varphi=0.000000"
         }
+        # a resolved loop: one eigensolve of its 2 * n_steps points serves four bands
+        solves.clear()
+        for lab in LABELS:
+            berry_phase_wilson(anti_phase(t_lr=0.6), 1.0, lab, n_steps=128)
+        geometry._wilson_band_phases.cache_clear()
+        assert [np.shape(h) for h in solves] == [(1, 256, 4, 4)]
 
     def test_raw_loop_second_order(self):
         # the plain overlap product converges as O(1/n^2)
@@ -191,13 +197,11 @@ class TestWilson:
 
     @pytest.mark.parametrize("n", [128, 256, 1024])
     def test_covariant_loop_matches_diagonalized_loop(self, n):
-        # _wilson_band_phases carries one labelled eigensolve v at varphi = 0
-        # around its loop by exp(-i varphi Sz_total), so every link of the
-        # n-point loop is <v|exp(-2 pi i Sz_total / n)|v>.  The raw phase read
-        # from that link equals the one of the loop diagonalized at every
-        # point, the reference route kept here, and a failing solve fails by
-        # the same name.
-        phis = 2 * math.pi * np.arange(n) / n
+        # The berry column's rule: the loop of the labelled varphi = 0 states v
+        # carried by exp(-i varphi Sz_total) tends to 2 pi <Sz_total> - pi of v.
+        # berry_phase_wilson diagonalizes every point of its loop and carries
+        # nothing; at n_steps = n it agrees within its own convergence
+        # tolerance, and a failing solve fails by the same name.
         rng = np.random.default_rng(n)
         compared = []
         for i in range(36):
@@ -205,27 +209,20 @@ class TestWilson:
             t_lr = 0.0 if i % 9 == 8 else rng.uniform(0.05, 2.0)
             cfg = DriveConfig(b=rng.uniform(0.5, 4.0), theta=theta,
                               phi_r=(0.0, -math.pi)[i % 2], t_lr=t_lr)
-            try:
-                states, _ = _adiabatic_band_states(cfg, np.array([theta]), phis)
-                want = wilson_loop_phase(states[0])
-            except DrivenSpinError as exc:
-                want = type(exc).__name__
             geometry._wilson_band_phases.cache_clear()
             try:
-                geometry._wilson_band_phases(cfg, n // 2)
+                want = [berry_phase_wilson(cfg, theta, lab, n_steps=n) for lab in LABELS]
+            except DrivenSpinError as exc:
+                want = type(exc).__name__
+            try:
                 v = _adiabatic_band_states(cfg, np.array([theta]), [0.0])[0][0, 0]
-                got = geometry._carried_loop_phases(v, n)
+                got = fold_phase(2.0 * math.pi * geometry._sz_total(v.T) - math.pi)
             except DrivenSpinError as exc:
                 got = type(exc).__name__
-            if isinstance(want, str):
-                assert got == want, cfg
+            if isinstance(want, str) or isinstance(got, str):
+                assert isinstance(got, str) and got == want, cfg
                 continue
-            assert max(map(circular_distance, got, want)) < 1e-9, cfg
-            # |link|^2 = cos^2(pi/n) + <2 Sz_total>^2 sin^2(pi/n): no link can
-            # come near wilson_loop_phase's 0.5 refusal
-            step = np.exp(-2j * math.pi * SZ_TOTAL_DIAG / n)
-            link = np.einsum("ik,i,ik->k", np.conj(v), step, v)
-            assert np.min(np.abs(link)) >= math.cos(math.pi / n) - 1e-15, cfg
+            assert max(circular_distance(got, want)) <= geometry.WILSON_CONV_TOL, cfg
             compared.append((cfg.phase_branch(), theta in (0.0, math.pi)))
         geometry._wilson_band_phases.cache_clear()
         # resolved loops on both branches, at the poles and away from them
@@ -706,6 +703,24 @@ class TestGaugeInvariance:
         rng = np.random.default_rng(24)
         gauged = band * np.exp(1j * rng.uniform(0, 2 * math.pi, size=(24, 24, 1)))
         assert abs(lattice_flux(gauged) - base) < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "reduce,states,error",
+        [
+            (wilson_loop_phase, np.full((3, 4), np.nan, complex), NonConverged),
+            (lattice_flux, np.full((3, 3, 4), np.nan, complex), NonConverged),
+            (wilson_loop_phase, np.zeros((0, 4), complex), ValueError),
+            (wilson_loop_phase, np.ones(4, complex), ValueError),
+        ],
+        ids=["loop-nan", "flux-nan", "loop-empty", "loop-1d"],
+    )
+    def test_unusable_states_are_refused_by_name(self, reduce, states, error):
+        # a nan overlap fails the overlap floor; a loop without points or
+        # components is refused by its shape, not by a numpy message
+        match = re.escape(f"got shape {states.shape}") if error is ValueError else "overlap"
+        with pytest.raises(error, match=match):
+            reduce(states)
 
     def test_orthogonal_rows_are_a_vanishing_link(self):
         states = np.zeros((2, 3, 4), dtype=complex)
