@@ -16,6 +16,7 @@ from .errors import (
     NotHermitian,
     OnTransition,
     UnsupportedPhase,
+    ValidationError,
     ZeroFrequency,
 )
 from .evolution import (
@@ -84,6 +85,7 @@ __all__ = [
     "PhaseDiagramCell",
     "StateLabel",
     "UnsupportedPhase",
+    "ValidationError",
     "ZeroFrequency",
     "aa_phase_closed",
     "berry_phase_closed",

@@ -7,9 +7,10 @@ deterministic: floats are always rendered with 17 significant digits and
 JSON output re-parses to the exact input parameters.
 
 Exit codes: 0 success, 2 parameter validation failure or an ``--out`` path
-that cannot be written, 3 computational failure (the structured error
-record carries the taxonomy name), which includes a result document that
-would hold a non-finite value.
+that cannot be written (a ``ValidationError``), 3 computational failure
+(the structured error record carries the taxonomy name), which includes a
+result document that would hold a non-finite value.  Any other exception
+is a fault of the program, not of its input, and is not caught.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import geometry, phasescan
-from .errors import DrivenSpinError, NonConverged
+from .errors import DrivenSpinError, NonConverged, ValidationError
 from .evolution import CyclicSystem, _rk4_error_estimate, propagator_rk4
 from .qmodel import LABELS, DriveConfig, StateLabel, _rotating_hamiltonian
-from .spectra import _closed_energies, _closed_energy_table, _sector_roots, band_order, eigh_stack
+from .spectra import _closed_energy_table, _label_codes, _sector_roots, band_order, eigh_stack
 
 SCHEMA_VERSION = 1
 
@@ -246,7 +247,7 @@ def _emit(args, results, diagnostics: dict) -> None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(texts)
     except OSError as exc:
-        raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
+        raise ValidationError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
 
 
 def _config_from(args) -> DriveConfig:
@@ -288,39 +289,24 @@ def cmd_spectrum(args) -> tuple[tuple, dict]:
 
 def cmd_berry(args) -> tuple[tuple, dict]:
     """Geometric-phase curves vs theta: numerical route, closed form, difference,
-    as arrays over all rows and bands; a row names the last band whose closed
-    form failed, or the error of its own solve."""
+    from one solve of the sweep, labelled with each row a cell of ``_label_codes``.
+    A row names its first failing labelling check, or the last band whose closed form failed."""
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
     cfg = _config_from(args)
     adiabatic = args.regime == "adiabatic"
-
-    def band_vectors(ths):
-        """Labelled eigenvectors (rows, 4, 4 labels); adiabatic ones at varphi = 0."""
-        if adiabatic:
-            return geometry._adiabatic_band_states(cfg, ths, [0.0])[0][:, 0]
-        return geometry._rotating_band_vectors(cfg, ths)[0]
-
-    # error names by code: 0 to 2 as in geometry._sector_roots, then failed solves
-    names = [None, "DegenerateGap", "NonConverged"]
-    solve_codes = np.zeros(len(thetas), dtype=int)
-    try:  # one labelled pass serves all rows; if a row fails, each row is solved alone
-        vectors = band_vectors(thetas)
-    except DrivenSpinError:
-        table = "adiabatic" if adiabatic else "rotating"
-        if not np.any(np.all(np.isfinite(_closed_energies(cfg, table, thetas)), axis=-1)):
-            _closed_energy_table(cfg, table, thetas)  # no row can be labelled: refuse once
-        vectors = np.zeros((len(thetas), 4, 4), dtype=complex)
-        for i in range(len(thetas)):
-            try:
-                vectors[i] = band_vectors(thetas[i : i + 1])[0]
-            except DrivenSpinError as exc:
-                names.append(type(exc).__name__)
-                solve_codes[i] = len(names) - 1
+    rotating = replace(cfg, omega=0.0) if adiabatic else cfg  # adiabatic: a drive at rest
+    values, vectors = eigh_stack(_rotating_hamiltonian(rotating, thetas))
+    table = "adiabatic" if adiabatic else "rotating"
+    order, _, residual, label_codes = _label_codes(cfg, table, values, thetas, 1)
+    if np.all(np.isnan(residual)):  # no row has finite closed energies: refuse once
+        _closed_energy_table(cfg, table, thetas)
     closed, codes = geometry._closed_phases(args.regime, *_sector_roots(cfg, args.regime, thetas))
+    # error names by code, of a band's closed form or, in every band, of its row's labelling
+    names = [None, "DegenerateGap", "NonConverged", "AmbiguousMatch"]
+    codes = np.where(label_codes[:, None] > 0, label_codes[:, None], codes)
     # the solid angle 2 pi <Sz_total>; a loop also carries U(2 pi) = -1, a cyclic state does not
-    sz = geometry._sz_total(vectors.swapaxes(1, 2))
+    sz = np.take_along_axis(geometry._sz_total(vectors.swapaxes(1, 2)), order, axis=-1)
     numeric = geometry.fold_phase(2.0 * math.pi * sz - (math.pi if adiabatic else 0.0))
-    codes = np.maximum(codes, solve_codes[:, None])  # a failed solve's code exceeds 2
     diff = geometry.circular_distance(numeric, closed)
     cells = np.stack([numeric, closed, diff], axis=-1).astype(object)
     cells[codes != 0] = None
@@ -537,12 +523,12 @@ def main(argv=None) -> int:
         for flag in ("--theta-min", "--theta-max"):
             value = getattr(args, flag[2:].replace("-", "_"), 0.0)
             if not 0.0 <= value <= math.pi:  # nan included
-                raise ValueError(f"argument {flag}: must lie in [0, pi], got {value}")
+                raise ValidationError(f"argument {flag}: must lie in [0, pi], got {value}")
         _emit(args, *args.handler(args))
     except DrivenSpinError as exc:
         print(_error_record(type(exc).__name__, str(exc)), file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValidationError as exc:
         print(_error_record("ValidationError", str(exc)), file=sys.stderr)
         return 2
     return 0

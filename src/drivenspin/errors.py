@@ -1,8 +1,13 @@
 """Error taxonomy shared by all modules.
 
 Every computational failure mode has a dedicated exception class so that
-callers (and the CLI) can report the failure by name.
+callers (and the CLI) can report the failure by name.  Invalid input is
+refused with ``ValidationError``, a ValueError and not a DrivenSpinError.
 """
+
+
+class ValidationError(ValueError):
+    """An argument outside its domain; the CLI's only exit-2 failure."""
 
 
 class DrivenSpinError(Exception):

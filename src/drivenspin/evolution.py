@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonConverged, ZeroFrequency
+from .errors import NonConverged, ValidationError, ZeroFrequency
 from .geometry import _sz_total, fold_phase
 from .qmodel import (
     DriveConfig,
@@ -54,7 +54,7 @@ class PhaseBreakdown:
     def __post_init__(self):
         gap = abs(fold_phase(self.geometric - (self.total - self.dynamical)))
         if gap > 1e-10:
-            raise ValueError(
+            raise ValidationError(
                 f"geometric != total - dynamical (mod 2 pi), defect {gap:.3e}"
             )
 
@@ -118,7 +118,7 @@ class CyclicSystem:
         vec = self.labeled.vector(label)
         n = _require_int("n_panels", n_panels)
         if n < 2 or n % 2:
-            raise ValueError(f"n_panels must be even and >= 2, got {n}")
+            raise ValidationError(f"n_panels must be even and >= 2, got {n}")
         es = self.eig
         times = np.linspace(0.0, self.period, n + 1)
         # psi_rot(t) = V a(t) with a(t) = exp(-i E t) V^H psi(0), so the
@@ -150,7 +150,7 @@ def propagator_exact(cfg: DriveConfig, t: float) -> np.ndarray:
     result is unitary to roundoff.
     """
     if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+        raise ValidationError(f"t must be finite, got {t}")
     return CyclicSystem.of(cfg).propagator(t)
 
 
@@ -202,11 +202,11 @@ def propagator_rk4(
     too coarse to resolve t.
     """
     if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+        raise ValidationError(f"t must be finite, got {t}")
     _require_driven(cfg)
     n = _require_int("n_steps", n_steps)
     if n < 1000:
-        raise ValueError(f"n_steps must be at least 1000, got {n}")
+        raise ValidationError(f"n_steps must be at least 1000, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):
         u = _rk4_product(cfg, t, n)
     if not np.all(np.isfinite(u)):

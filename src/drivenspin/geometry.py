@@ -49,7 +49,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AmbiguousMatch, DegenerateGap, DrivenSpinError, NonConverged, OnTransition
+from .errors import (
+    AmbiguousMatch, DegenerateGap, DrivenSpinError, NonConverged, OnTransition, ValidationError
+)
 from .qmodel import (
     LABELS,
     SZ_TOTAL_DIAG,
@@ -60,15 +62,13 @@ from .qmodel import (
     _rotating_hamiltonian,
 )
 from .spectra import (
-    DEGENERACY_FACTOR,
-    RESIDUAL_FACTOR,
-    _closed_energies,
     _label_bands,
+    _label_codes,
+    _label_error,
     _require_regime,
     _root_codes,
     _sector_parameters,
     _sector_roots,
-    band_order,
     eigh_stack,
 )
 
@@ -83,6 +83,7 @@ DEFAULT_WILSON_STEPS = 512
 
 #: A link overlap below this magnitude means the grid hits a band degeneracy.
 LINK_TOL = 1e-12
+_VANISHING_LINK = "vanishing link overlap; grid hits a band degeneracy"
 
 #: A lattice flux total must lie within this distance of an integer.
 FLUX_TOL = 1e-9
@@ -165,7 +166,7 @@ def wilson_loop_phase(states: np.ndarray) -> float:
     """
     states = np.asarray(states)
     if states.ndim < 2 or states.size == 0:
-        raise ValueError(
+        raise ValidationError(
             f"states need at least 1 loop point of 1 component, got shape {states.shape}"
         )
     nxt = np.roll(states, -1, axis=0)
@@ -197,7 +198,7 @@ def lattice_flux(states: np.ndarray) -> np.ndarray:
     """
     states = np.asarray(states)
     if states.ndim < 3 or states.shape[0] < 2 or states.shape[1] < 1:
-        raise ValueError(
+        raise ValidationError(
             f"states need at least 2 theta rows and 1 varphi column, got shape {states.shape}"
         )
     conj = np.conj(states)
@@ -222,7 +223,7 @@ def _plaquettes(links_p, links_t, links_t_next):
     varphi link or column-j theta link raises NonConverged.
     """
     if not (np.min(np.abs(links_p)) >= LINK_TOL and np.min(np.abs(links_t)) >= LINK_TOL):
-        raise NonConverged("vanishing link overlap; grid hits a band degeneracy")
+        raise NonConverged(_VANISHING_LINK)
     return links_p[:-1] * links_t_next * np.conj(links_p[1:]) * np.conj(links_t)
 
 
@@ -325,37 +326,32 @@ def _strip_chern(cfg, n_theta: int, n_phi: int):
 
     Returns (c1, min_gap, failures): the snapped flux (..., 4 labels), nan
     where a cell failed, the smallest gaps (...,), and by cell index (() for
-    one drive) the DrivenSpinError of each failed cell's first failing check.
-    Array masks find those cells; only they go back through the checks of one
-    pass (``_label_bands``, ``_strip_flux``, ``_snap``) on their solved rows.
+    one drive) the DrivenSpinError of each failed cell's first failing check:
+    its code 1 to 3 of ``_label_codes``, 4 for a link that ``_plaquettes``
+    refuses or 5 for a flux that ``_flux_error`` names, built from these
+    arrays, so that no row is solved or labelled again.
     """
     thetas = np.linspace(0.0, math.pi, n_theta)
     values, vectors = eigh_stack(_rotating_hamiltonian(cfg, thetas))
-    closed = _closed_energies(cfg, "rotating", thetas)
-    with np.errstate(over="ignore", invalid="ignore"):
-        min_gap = np.diff(values, axis=-1).min(axis=(-2, -1))
-        residual = np.abs(values - np.sort(closed, axis=-1)).max(axis=(-2, -1))
-    b = np.reshape(cfg.b, min_gap.shape)
-    ok = ~(min_gap < DEGENERACY_FACTOR * b) & ~(residual > RESIDUAL_FACTOR * b)
-    ok &= np.isfinite(closed).all(axis=(-2, -1))
-    vectors = np.take_along_axis(vectors, band_order(closed)[..., None, :], axis=-1)
-    links = _strip_links(vectors, thetas, n_phi)
-    ok &= ~(np.minimum(*(np.abs(link).min(axis=(-2, -1)) for link in links[:2])) < LINK_TOL)
+    order, gaps, residual, codes = _label_codes(cfg, "rotating", values, thetas, values.ndim - 2)
+    links = _strip_links(np.take_along_axis(vectors, order[..., None, :], axis=-1), thetas, n_phi)
+    vanishing = ~(np.minimum(*(np.abs(link).min(axis=(-2, -1)) for link in links[:2])) >= LINK_TOL)
+    codes = np.where((codes == 0) & vanishing, 4, codes)
+    ok = codes == 0
     flux = np.full(ok.shape + (4,), np.nan)
     if ok.any():  # links of all-pass cells keep their shape: one drive's strip is (n_theta, 4)
         flux[ok] = _strip_flux(links if ok.all() else [link[ok] for link in links], n_phi)
     c1 = np.round(flux)
-    ok &= (np.abs(flux - c1) <= FLUX_TOL).all(axis=-1)
-    failures = {}
-    for i in [] if ok.all() else map(tuple, np.argwhere(~ok)):
-        cell = replace(cfg, b=cfg.b[i].item(), omega=cfg.omega[i].item()) if i else cfg
-        try:
-            _label_bands(cell, "rotating", values[i], thetas,
-                         lambda ix: f"theta={thetas[ix[0]]:.6f}")
-            c1[i] = _snap(_strip_flux([link[i] for link in links], n_phi))
-        except DrivenSpinError as exc:
-            failures[i] = exc
-    return c1, min_gap, failures
+    codes = np.where(ok & ~(np.abs(flux - c1) <= FLUX_TOL).all(axis=-1), 5, codes)
+    c1[codes != 0] = np.nan
+    b, where = np.reshape(cfg.b, codes.shape), lambda ix: f"theta={thetas[ix[0]]:.6f}"
+    failures = {
+        i: (NonConverged(_VANISHING_LINK) if codes[i] == 4
+            else _flux_error(flux[i]) if codes[i] == 5
+            else _label_error(codes[i], b[i], gaps[i], residual[i], where))
+        for i in map(tuple, np.argwhere(codes))
+    }
+    return c1, gaps.min(axis=-1), failures
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +422,7 @@ def berry_phase_wilson(
     """
     # n_steps is checked before the cache, which would take 64.0 for 64
     if _require_int("n_steps", n_steps) < 64 or n_steps % 2:
-        raise ValueError(f"n_steps must be even and >= 64, got {n_steps}")
+        raise ValidationError(f"n_steps must be even and >= 64, got {n_steps}")
     phases = _wilson_band_phases(replace(cfg, theta=float(theta)), int(n_steps))
     if isinstance(phases, DrivenSpinError):
         raise copy.copy(phases)  # a fresh error per call, as if solved again
@@ -533,7 +529,7 @@ def curvature_numeric(
     slightly outside [0, pi], where the Hamiltonian family extends smoothly.
     """
     if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"h must be finite and > 0, got {h}")
+        raise ValidationError(f"h must be finite and > 0, got {h}")
     th = np.array([theta - h / 2.0, theta + h / 2.0])
     ph = np.array([varphi - h / 2.0, varphi + h / 2.0])
     _require_regime(regime)
@@ -628,7 +624,7 @@ def chern_lattice(
     """
     n_theta, n_phi = _require_int("n_theta", n_theta), _require_int("n_phi", n_phi)
     if n_theta < 20 or n_phi < 20:
-        raise ValueError("n_theta and n_phi must both be at least 20")
+        raise ValidationError("n_theta and n_phi must both be at least 20")
     _require_regime(regime)
     cfg.phase_branch()  # an off-branch drive is refused before any grid is built
     if regime == "nonadiabatic":
@@ -654,20 +650,20 @@ def chern_lattice(
                     failures.append(exc)
         if failures:
             raise min(failures, key=_failure_rank)
-        c1 = _snap(flux)
+        if (error := _flux_error(flux)) is not None:
+            raise error
+        c1 = np.round(flux)
     return ChernReport(c1=dict(zip(LABELS, map(int, c1))), min_gap=float(min_gap))
 
 
-def _snap(flux):
-    """round(flux) of one grid (4 labels), or NonConverged naming a band beyond FLUX_TOL."""
-    c1 = np.round(flux)
-    off = np.flatnonzero(~(np.abs(flux - c1) <= FLUX_TOL))
+def _flux_error(flux):
+    """NonConverged naming the first band of a grid's flux (4 labels) off an integer, or None."""
+    off = np.flatnonzero(~(np.abs(flux - np.round(flux)) <= FLUX_TOL))
     if off.size:
-        raise NonConverged(
+        return NonConverged(
             f"flux total {flux[off[0]]!r} for band {tuple(LABELS[off[0]])} is not an "
             "integer to 1e-9; refine the grid"
         )
-    return c1
 
 
 def chern_closed(cfg: DriveConfig, label: StateLabel, regime: str) -> int:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DrivenSpinError
+from .errors import DrivenSpinError, ValidationError
 from .geometry import (
     _is_topological,
     _sector_masks,
@@ -39,7 +39,7 @@ class PhaseClass:
 
     def __post_init__(self):
         if self.c_plus not in (0, 1) or self.c_minus not in (0, 1):
-            raise ValueError(f"class entries must be 0 or 1, got {self}")
+            raise ValidationError(f"class entries must be 0 or 1, got {self}")
 
     def render(self) -> str:
         return f"({'Z' if self.c_plus else '0'},{'Z' if self.c_minus else '0'})"
@@ -102,7 +102,7 @@ def classify_point(cfg: DriveConfig, method: str = "closed") -> PhaseClass:
         if code < 0:
             raise DrivenSpinError(f"unexpected lattice invariants {c1.tolist()} in LABELS order")
         return _PHASES[code]
-    raise ValueError(f"method must be 'closed' or 'lattice', got {method!r}")
+    raise ValidationError(f"method must be 'closed' or 'lattice', got {method!r}")
 
 
 def _lattice_codes(c1):
@@ -147,10 +147,11 @@ def _scan_lattice(b, omega, base):
     """Lattice (codes, errors) of the cells, in blocks of _LATTICE_BLOCK cells.
 
     Each block is one call of ``chern_lattice``'s strip kernel on drive
-    ``base`` at the block's b and omega.  A cell records the name of the
-    kernel's error, or else of the DrivenSpinError that classify_point
-    raises for invariants that do not cancel.  Error names are listed in
-    row-major order of first appearance.
+    ``base`` at the block's b and omega, which codes each cell's first
+    failing check from the block's one eigensolve and builds its error
+    there.  A cell records the name of that error, or else of the
+    DrivenSpinError that classify_point raises for invariants that do not
+    cancel.  Error names are listed in row-major order of first appearance.
     """
     codes, errors = np.empty(len(b), dtype=int), {}
     for start in range(0, len(b), _LATTICE_BLOCK):
@@ -182,13 +183,13 @@ def _scan_columns(b_range, omega_range, t_lr, phi, n_b, n_omega, method):
     """
     n_b, n_omega = _require_int("n_b", n_b), _require_int("n_omega", n_omega)
     if n_b < 2 or n_omega < 2:
-        raise ValueError("n_b and n_omega must both be at least 2")
+        raise ValidationError("n_b and n_omega must both be at least 2")
     b_lo, b_hi = map(float, b_range)
     w_lo, w_hi = map(float, omega_range)
     if b_hi < b_lo or w_hi < w_lo:
-        raise ValueError("ranges must be increasing")
+        raise ValidationError("ranges must be increasing")
     if b_lo < 0.0 or w_lo < 0.0:
-        raise ValueError("ranges must be non-negative")
+        raise ValidationError("ranges must be non-negative")
     # Validate phi once; per-cell errors are recorded, a bad branch is not.
     base = DriveConfig(b=1.0, theta=0.0, phi_l=0.0, phi_r=-phi, t_lr=t_lr)
     in_phase = base.phase_branch() == 0.0
@@ -205,7 +206,7 @@ def _scan_columns(b_range, omega_range, t_lr, phi, n_b, n_omega, method):
     elif method == "lattice":
         codes, errors = _scan_lattice(b, omega, base)
     else:
-        raise ValueError(f"method must be 'closed' or 'lattice', got {method!r}")
+        raise ValidationError(f"method must be 'closed' or 'lattice', got {method!r}")
     return b, omega, codes, _boundary_distance(x_plus, x_minus), errors
 
 
@@ -224,14 +225,15 @@ def scan_diagram(
     dimensionless ratios diverge) is never sampled even when the range
     starts at zero.  Per-cell failures are recorded in the cell, never
     raised; the scan always completes.  Invalid parameters raise
-    ValueError: a non-integer n_b or n_omega by its name, a count below 2,
+    ValidationError: a non-integer n_b or n_omega by its name, a count below 2,
     a bad range, or as the first invalid cell's DriveConfig does.
 
     The closed method classifies the whole grid in one array pass
     (``_scan_closed``).  The lattice method runs ``chern_lattice``'s
     nonadiabatic strip kernel on blocks of _LATTICE_BLOCK cells, each from
-    one eigensolve (``_scan_lattice``), and names a failing cell's error
-    from its block, so every cell and error name is the per-cell route's.
+    one eigensolve (``_scan_lattice``), and reads a failing cell's error
+    name from the kernel's code of its first failing check, with no cell
+    solved again, so every cell and error name is the per-cell route's.
     Either way the boundary distances are one array expression.
     ``phase-diagram`` renders the same grid from its columns, without
     building the cells.

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnsupportedPhase
+from .errors import UnsupportedPhase, ValidationError
 
 # Tolerance for recognizing phi_l - phi_r as one of the closed-form branches.
 PHASE_BRANCH_TOL = 1e-9
@@ -46,7 +46,7 @@ class StateLabel(_StateLabelBase):
         m1 = int(m1)
         m2 = int(m2)
         if m1 not in (-1, 1) or m2 not in (-1, 1):
-            raise ValueError(f"state label entries must be +1 or -1, got ({m1}, {m2})")
+            raise ValidationError(f"state label entries must be +1 or -1, got ({m1}, {m2})")
         return super().__new__(cls, m1, m2)
 
     def __str__(self):
@@ -77,9 +77,9 @@ def _sector_ratios(b, omega, t_lr, in_phase: bool):
 
 
 def _require_int(name: str, value) -> int:
-    """``value`` as an int; a ValueError naming it unless it is an integer."""
+    """``value`` as an int; a ValidationError naming it unless it is an integer."""
     if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -106,7 +106,7 @@ class DriveConfig:
     Every field is stored as a Python float.  The constructor converts all
     six fields, then refuses the first non-finite one in declaration order,
     then b <= 0, theta outside [0, pi], omega < 0 and t_lr < 0, in that
-    order, each with a ValueError naming the field; ``dataclasses.replace``
+    order, each with a ValidationError naming the field; ``dataclasses.replace``
     validates the same way.
     """
 
@@ -131,15 +131,15 @@ class DriveConfig:
         if not math.isfinite(b + theta + phi_l + phi_r + omega + t_lr):
             for name, value in fields.items():
                 if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value}")
+                    raise ValidationError(f"{name} must be finite, got {value}")
         if b <= 0.0:
-            raise ValueError(f"b must be > 0, got {b}")
+            raise ValidationError(f"b must be > 0, got {b}")
         if not 0.0 <= theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {theta}")
+            raise ValidationError(f"theta must lie in [0, pi], got {theta}")
         if omega < 0.0:
-            raise ValueError(f"omega must be >= 0, got {omega}")
+            raise ValidationError(f"omega must be >= 0, got {omega}")
         if t_lr < 0.0:
-            raise ValueError(f"t_lr must be >= 0, got {t_lr}")
+            raise ValidationError(f"t_lr must be >= 0, got {t_lr}")
 
     @property
     def lam(self) -> float:
@@ -154,7 +154,7 @@ class DriveConfig:
     def delta(self, m2: int) -> float:
         """Shifted frequency ratio (omega + 2 m2 t_lr) / b."""
         if m2 not in (-1, 1):
-            raise ValueError(f"m2 must be +1 or -1, got {m2}")
+            raise ValidationError(f"m2 must be +1 or -1, got {m2}")
         return _sector_ratios(self.b, self.omega, self.t_lr, in_phase=False)[0 if m2 > 0 else 1]
 
     @property
@@ -269,7 +269,7 @@ def build_hamiltonian(cfg: DriveConfig, s: float) -> np.ndarray:
     independent of s (a joint shift of the drive phases is a frame choice).
     """
     if not math.isfinite(s):
-        raise ValueError(f"s must be finite, got {s}")
+        raise ValidationError(f"s must be finite, got {s}")
     return _lab_hamiltonian(cfg, s=float(s))
 
 

@@ -3,7 +3,9 @@
 The eigensolver ``eigh_stack`` takes a whole stack of 4x4 problems at once,
 by site-exchange sector blocks or by LAPACK; it reads no closed form, so it
 stays an independent route to the spectra.  The one band-labeling rule,
-``_label_bands``, names one spectrum or a grid of spectra by (m1, m2).
+``_label_codes``, names the bands of a stack of spectra by (m1, m2) and codes
+the first failing check of each cell, whichever leading axes the caller
+takes as cells; ``_label_bands`` is its raising one-cell case.
 Every closed form, here and in ``geometry``, reads its sector parameter x
 and root from one kernel, ``_sector_roots``, on a float or an array of theta.
 """
@@ -12,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .errors import AmbiguousMatch, DegenerateGap, NonConverged, NotHermitian
+from .errors import AmbiguousMatch, DegenerateGap, NonConverged, NotHermitian, ValidationError
 from .qmodel import LABELS, DriveConfig, StateLabel, _sector_ratios
 
 HERMITICITY_TOL = 1e-12
@@ -89,7 +92,7 @@ def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     hm = np.asarray(h, dtype=complex)
     if hm.shape[-2:] != (4, 4):
-        raise ValueError(f"expected trailing shape (4, 4), got {hm.shape}")
+        raise ValidationError(f"expected trailing shape (4, 4), got {hm.shape}")
     _require_finite(hm)
     if hm.size >= 16 * _SECTOR_MIN:
         stack = hm.reshape(-1, 4, 4)
@@ -250,7 +253,7 @@ def closed_form_quasienergies(cfg: DriveConfig, label: StateLabel) -> float:
 
 def _require_regime(regime: str) -> None:
     if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+        raise ValidationError(f"regime must be one of {REGIMES}, got {regime!r}")
 
 
 def _sector_parameters(cfg: DriveConfig, regime: str) -> tuple[float, float]:
@@ -303,7 +306,7 @@ def _closed_energies(cfg: DriveConfig, regime: str, theta) -> np.ndarray:
     has their broadcast shape + (4,)."""
     in_phase = cfg.phase_branch() == 0.0
     if regime not in ("adiabatic", "rotating"):
-        raise ValueError(f"regime must be 'adiabatic' or 'rotating', got {regime!r}")
+        raise ValidationError(f"regime must be 'adiabatic' or 'rotating', got {regime!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         if regime == "adiabatic" and in_phase:
             return np.broadcast_to(-0.5 * cfg.b * (_M1 + _M2 * cfg.lam), np.shape(theta) + (4,))
@@ -330,7 +333,7 @@ class LabeledSpectrum:
 def label_eigenstates(
     es: EigenSystem, cfg: DriveConfig, regime: str = "adiabatic"
 ) -> LabeledSpectrum:
-    """Name the four numerical eigenpairs by (m1, m2), by the rule of ``_label_bands``.
+    """Name the four numerical eigenpairs by (m1, m2), by the rule of ``_label_codes``.
 
     Parameters
     ----------
@@ -353,7 +356,7 @@ def label_eigenstates(
     UnsupportedPhase
         Away from the phi in {0, pi} branches.
     """
-    order, _ = _label_bands(cfg, regime, es.values)
+    order, _ = _label_bands(cfg, regime, es.values, cfg.theta)
     states = {
         lab: (float(es.values[order[k]]), es.vectors[:, order[k]].copy())
         for k, lab in enumerate(LABELS)
@@ -361,46 +364,63 @@ def label_eigenstates(
     return LabeledSpectrum(states=states)
 
 
-def _label_bands(cfg, regime, values, theta=None, where=None):
-    """The band-labeling rule, for one spectrum or a stack of spectra.
+def _label_codes(cfg, regime, values, theta, cells: int):
+    """The band-labelling rule, over a stack of spectra whose first ``cells`` axes are cells.
 
     ``values`` (..., 4), ascending, are matched against
-    ``_closed_energy_table(cfg, regime, theta)``, which must broadcast
-    against them.  Bands must be resolved (gap at least
-    DEGENERACY_FACTOR * b) and the closed forms finite and within
-    RESIDUAL_FACTOR * b of the sorted values; any other bijection then misplaces some label by
-    more than the gap allows, so the sort-order match is the only one.
-    ``where`` names a stack index in messages.  The raised DegenerateGap
-    carries the smallest gap as ``gap``, and AmbiguousMatch the largest
-    deviation as ``residual``, so that a caller labelling a grid in blocks
-    can raise what one pass over the whole grid would.
-
-    Returns (order, min_gap); order[..., k] is the column of label k.  A gap
-    wider than the float range is inf, a resolved gap.  An off-branch drive
-    is refused with UnsupportedPhase before any value is read.
+    ``_closed_energies(cfg, regime, theta)``, which broadcast against them.
+    A cell is labelled when its gaps are at least DEGENERACY_FACTOR * b (one
+    wider than the float range is inf, resolved) and its closed forms finite
+    and within RESIDUAL_FACTOR * b of its sorted values; any other bijection
+    then misplaces some label by more than the gap allows.  An off-branch
+    drive raises UnsupportedPhase first.  Returns (order, gaps, residual,
+    codes): order[..., k] is the column of label k; gaps and residual (...,)
+    are each spectrum's smallest gap and largest deviation from its sorted
+    closed energies, nan where those overflow; codes (the cells' shape) are
+    0 for a labelled cell, else its first failing check: 1 gap (DegenerateGap),
+    2 overflow (NonConverged), as in ``_root_codes``, then 3 residual.
     """
-    cfg.phase_branch()
+    closed = _closed_energies(cfg, regime, theta)
+    ref = np.sort(closed, axis=-1)
+    # band by band: numpy's loops over a last axis of 4 take several times as long
     with np.errstate(over="ignore", invalid="ignore"):  # a spectrum overflowing to inf - inf
-        gaps = np.diff(values, axis=-1)
-    min_gap = float(np.min(gaps))
-    if min_gap < DEGENERACY_FACTOR * cfg.b:
-        message = f"eigenvalue gap {min_gap:.3e} below {DEGENERACY_FACTOR * cfg.b:.1e}"
+        gaps = reduce(np.minimum, [values[..., k + 1] - values[..., k] for k in range(3)])
+        deviation = reduce(np.maximum, [abs(values[..., k] - ref[..., k]) for k in range(4)])
+    finite = reduce(np.logical_and, [np.isfinite(ref[..., k]) for k in range(4)])
+    residual = np.where(finite, deviation, np.nan)
+    rows = tuple(range(cells, gaps.ndim))  # reduced with keepdims, so that b broadcasts
+    unresolved = gaps.min(axis=rows, keepdims=True) < DEGENERACY_FACTOR * cfg.b
+    overflow = np.isnan(residual).any(axis=rows, keepdims=True)
+    off = residual.max(axis=rows, keepdims=True) > RESIDUAL_FACTOR * cfg.b
+    codes = np.where(unresolved, 1, np.where(overflow, 2, 3 * off)).reshape(gaps.shape[:cells])
+    return band_order(closed), gaps, residual, codes
+
+
+def _label_error(code, b, gaps, residual, where=None):
+    """The error of one cell's failing ``_label_codes`` code, from its gaps, residual and b,
+    ``where`` naming its smallest gap's index; it carries that gap and its largest residual."""
+    gap, worst = float(np.min(gaps)), float(np.max(residual))
+    if code == 1:
+        message = f"eigenvalue gap {gap:.3e} below {DEGENERACY_FACTOR * b:.1e}"
         if where is not None:
-            ix = np.unravel_index(int(np.argmin(np.min(gaps, axis=-1))), gaps.shape[:-1])
-            message += f" at grid point {where(ix)}"
+            message += f" at grid point {where(np.unravel_index(np.argmin(gaps), np.shape(gaps)))}"
         error = DegenerateGap(message)
-        error.gap = min_gap
-        raise error
-    closed = _closed_energy_table(cfg, regime, theta)
-    residual = float(np.max(np.abs(values - np.sort(closed, axis=-1))))
-    if residual > RESIDUAL_FACTOR * cfg.b:
+    elif code == 2:
+        error = NonConverged("closed-form energies overflow to inf or nan")
+    else:
         error = AmbiguousMatch(
-            f"numerical spectrum deviates from closed form by {residual:.3e}, "
-            "above 1e-8 * b"
+            f"numerical spectrum deviates from closed form by {worst:.3e}, above 1e-8 * b"
         )
-        error.residual = residual
-        raise error
-    return band_order(closed), min_gap
+    error.gap, error.residual = gap, worst
+    return error
+
+
+def _label_bands(cfg, regime, values, theta, where=None):
+    """``_label_codes`` with the whole stack one cell: (order, min_gap), or its error raised."""
+    order, gaps, residual, code = _label_codes(cfg, regime, values, theta, 0)
+    if code:
+        raise _label_error(code, cfg.b, gaps, residual, where)
+    return order, float(np.min(gaps))
 
 
 def band_order(closed_values: np.ndarray) -> np.ndarray:
@@ -408,7 +428,7 @@ def band_order(closed_values: np.ndarray) -> np.ndarray:
 
     ``closed_values`` is a length-4 array in LABELS order; the result maps
     label index -> column index of the ascending-sorted eigensystem.  It is
-    the match of ``_label_bands``; energy tables, which must also cross
+    the match of ``_label_codes``; energy tables, which must also cross
     band touchings, use it directly.
     """
     return np.argsort(np.argsort(closed_values, kind="stable"), kind="stable")

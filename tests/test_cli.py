@@ -20,14 +20,31 @@ from drivenspin import (
     DriveConfig,
     DrivenSpinError,
     NonConverged,
+    PhaseClass,
+    StateLabel,
+    ValidationError,
     aa_phase_closed,
     berry_phase_closed,
+    berry_phase_wilson,
+    build_hamiltonian,
+    build_rotating_hamiltonian,
+    chern_lattice,
     circular_distance,
+    classify_point,
     cli,
+    curvature_numeric,
+    dynamical_phase_quadrature,
+    eigensystem,
+    eigh_stack,
     fold_phase,
     geometry,
+    label_eigenstates,
+    lattice_flux,
+    propagator_exact,
+    propagator_rk4,
     rotating_sz_expectation,
     scan_diagram,
+    wilson_loop_phase,
 )
 from drivenspin.cli import MAX_GRID_POINTS, main, parse_angle
 from drivenspin.evolution import RK4_DRIFT_TOL
@@ -278,13 +295,17 @@ class TestErrors:
             "--b 1e-300 --t-lr 1e10 --phi pi --omega 1",
             # mu = omega / b overflows in phase; the bands stay resolved
             "--b 1e-300 --omega 1e10 --t-lr 1",
+            # the same with decoupled sites: every row also fails the gap
+            # check, which comes first, so the refusal reads only whether
+            # the closed energies are finite
+            "--b 1e-300 --omega 1e10 --t-lr 0",
         ],
     )
     def test_berry_refuses_once_where_no_row_has_closed_energies(
         self, capsys, eigh_calls, fmt, drive
     ):
         """Where the closed energies overflow on every row, berry refuses as
-        spectrum does, after its one sweep and before any per-row solve."""
+        spectrum does, after its one sweep."""
         argv = f"--format {fmt} berry {drive} --regime nonadiabatic --theta-steps 3"
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (3, "")
@@ -433,6 +454,49 @@ class TestErrors:
         assert path in record["error"]["message"]
 
 
+def test_a_fault_is_not_a_validation_error(monkeypatch):
+    """Only a ValidationError exits 2: a ValueError raised inside a
+    computation, such as numpy's, is a fault of the program and escapes."""
+    def broken(h):
+        raise ValueError("cannot reshape array of size 3 into shape (2,2)")
+
+    monkeypatch.setattr(cli, "eigh_stack", broken)
+    with pytest.raises(ValueError, match="cannot reshape") as raised:
+        main("spectrum --b 2 --theta-steps 3".split())
+    assert not isinstance(raised.value, ValidationError)
+
+
+_CFG = DriveConfig(b=1.0, theta=0.5, omega=1.0, t_lr=0.4)
+_ARGUMENT_CHECKS = {
+    "b": lambda: DriveConfig(b=0.0, theta=0.0),
+    "finite": lambda: DriveConfig(b=1.0, theta=math.nan),
+    "label": lambda: StateLabel(2, 1),
+    "m2": lambda: _CFG.delta(0),
+    "s": lambda: build_hamiltonian(_CFG, math.inf),
+    "shape": lambda: eigh_stack(np.zeros((3, 3))),
+    "regime": lambda: chern_lattice(_CFG, regime="rotating"),
+    "n_theta": lambda: chern_lattice(_CFG, n_theta=10),
+    "integer": lambda: chern_lattice(_CFG, n_theta=20.0),
+    "n_steps": lambda: berry_phase_wilson(_CFG, 0.5, LABELS[0], n_steps=63),
+    "h": lambda: curvature_numeric(_CFG, 0.5, 0.0, LABELS[0], "adiabatic", h=0.0),
+    "loop": lambda: wilson_loop_phase(np.zeros(3)),
+    "grid": lambda: lattice_flux(np.zeros((1, 2, 4))),
+    "n_b": lambda: scan_diagram((0, 1), (0, 1), 1.0, math.pi, 1, 2),
+    "range": lambda: scan_diagram((1, 0), (0, 1), 1.0, math.pi, 2, 2),
+    "method": lambda: classify_point(_CFG, method="full"),
+    "class": lambda: PhaseClass(2, 0),
+    "t": lambda: propagator_exact(_CFG, math.inf),
+    "rk4_steps": lambda: propagator_rk4(_CFG, 1.0, n_steps=10),
+    "n_panels": lambda: dynamical_phase_quadrature(_CFG, LABELS[0], n_panels=3),
+}
+
+
+@pytest.mark.parametrize("check", list(_ARGUMENT_CHECKS))
+def test_argument_checks_raise_validation_error(check):
+    with pytest.raises(ValidationError):
+        _ARGUMENT_CHECKS[check]()
+
+
 class TestDeterminismAndRoundTrip:
     def test_byte_identical_repeats(self, capsys):
         argv = [
@@ -545,7 +609,8 @@ class TestBerry:
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Shapes of the stacks given to geometry.eigh_stack, in call order."""
+    """Shapes of the stacks given to geometry.eigh_stack and cli.eigh_stack,
+    in call order."""
     calls = []
     eigh_stack = geometry.eigh_stack
 
@@ -553,7 +618,8 @@ def eigh_calls(monkeypatch):
         calls.append(np.shape(h))
         return eigh_stack(h)
 
-    monkeypatch.setattr(geometry, "eigh_stack", counting_eigh_stack)
+    for module in (geometry, cli):
+        monkeypatch.setattr(module, "eigh_stack", counting_eigh_stack)
     return calls
 
 
@@ -566,23 +632,25 @@ def test_berry_nonadiabatic_diagonalizes_once(eigh_calls, capsys):
 
 
 def test_berry_adiabatic_diagonalizes_once(eigh_calls, capsys):
+    """The adiabatic sweep is the rotating frame of a drive at rest: one
+    stack of rows, as the nonadiabatic one."""
     assert main("berry --b 2 --t-lr 0.6 --phi pi".split()) == 0
     capsys.readouterr()
-    assert eigh_calls == [(50, 1, 4, 4)]
+    assert eigh_calls == [(50, 4, 4)]
 
 
 def test_berry_adiabatic_solves_each_row_once(eigh_calls, capsys):
-    """After the sweep fails, one labelled solve per adiabatic row serves its
-    four bands, also when the row fails."""
+    """A sweep with a failing row is solved once, as a passing one is, and
+    labelled once with each row a cell; failing rows are not solved again."""
     assert main("berry --b 2 --t-lr 0.6 --phi pi --theta-steps 7".split()) == 0
     assert json.loads(capsys.readouterr().out)["diagnostics"]["failed_rows"] == 1
-    assert eigh_calls == [(7, 1, 4, 4)] + [(1, 1, 4, 4)] * 7
+    assert eigh_calls == [(7, 4, 4)]
     eigh_calls.clear()
     # decoupled sites: every row is a DegenerateGap
     assert main("berry --b 2 --t-lr 0 --theta-steps 3".split()) == 0
     rows = json.loads(capsys.readouterr().out)["results"]["rows"]
     assert [row[-1] for row in rows] == ["DegenerateGap"] * 3
-    assert eigh_calls == [(3, 1, 4, 4)] + [(1, 1, 4, 4)] * 3
+    assert eigh_calls == [(3, 4, 4)]
 
 
 @pytest.mark.parametrize("n_steps", ["512", "63", "32"])
@@ -680,8 +748,8 @@ def test_berry_nonadiabatic_matches_per_band_route(sweep):
 
 
 def test_berry_failing_sweep_solves_each_row_once(eigh_calls, capsys):
-    """After the sweep fails, one labelled solve per row serves its four
-    bands, and the CSV is byte for byte the per-band route's."""
+    """A sweep with a failing row is solved once, and the CSV is byte for
+    byte the per-band route's."""
     calls = eigh_calls
     argv = (
         "--format csv berry --b 2 --omega 1.5 --t-lr 1.25 --regime nonadiabatic"
@@ -689,12 +757,74 @@ def test_berry_failing_sweep_solves_each_row_once(eigh_calls, capsys):
     )
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
-    assert calls == [(5, 4, 4)] + [(1, 4, 4)] * 5
+    assert calls == [(5, 4, 4)]
     drive = DriveConfig(b=2.0, theta=0.0, phi_r=-0.0, omega=1.5, t_lr=1.25)
     rows = [_per_band_berry_row(drive, float(th)) for th in np.linspace(0.0, math.pi, 5)]
     assert [row[-1] for row in rows] == [None, None, "DegenerateGap", None, None]
     lines = out.splitlines()[:1] + [",".join(map(cli._fmt, row)) for row in rows]
     assert out == "\n".join(lines) + "\n"
+
+
+def _seeded_berry_drives(n):
+    """berry flags of n seeded drives over both branches and regimes."""
+    rng = np.random.default_rng(2005)
+    drives = []
+    for _ in range(n):
+        b, t_lr, omega = math.exp(rng.uniform(-1.0, 1.5)), rng.uniform(0, 3), rng.uniform(0, 4)
+        drive = f"--b {b!r} --t-lr {t_lr!r} --phi {('0', 'pi')[rng.integers(2)]}"
+        if rng.random() < 0.5:
+            drive += f" --omega {omega!r} --regime nonadiabatic"
+        drives.append(drive)
+    return drives
+
+
+@pytest.mark.parametrize("drive,fails", [
+    # anti-phase bands cross where cos(theta) = omega / b: at the equator,
+    # which an odd sweep hits, for a drive at rest in either regime
+    ("--b 2 --t-lr 0.6 --phi pi", True),
+    ("--b 2 --t-lr 0.6 --phi pi --regime nonadiabatic", True),
+    # decoupled sites: every row fails
+    ("--b 2 --t-lr 0", True),
+    ("--b 2 --t-lr 0 --omega 1.5 --regime nonadiabatic", True),
+    # sqrt(1 + mu^2) = lam: two in-phase rotating levels cross at theta = pi/2
+    ("--b 2 --omega 1.5 --t-lr 1.25 --regime nonadiabatic --theta-min 0 --theta-max pi", True),
+    *((drive, None) for drive in _seeded_berry_drives(8)),
+])
+def test_berry_rows_match_their_own_labelled_solve(drive, fails):
+    """Each row of a sweep of 7, 63, 64 or 65 rows (the sector solve takes 64
+    and more) is what labelling that row alone gives: the error that
+    label_eigenstates raises for its one-matrix eigensystem, or else numbers
+    within 1e-12 (circular) of 2 pi <Sz_total> of its labelled vectors, less
+    pi adiabatic."""
+    failing = []
+    for n in (7, 63, 64, 65):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["berry", *drive.split(), "--theta-steps", str(n)]) == 0
+        doc = json.loads(out.getvalue())
+        p = doc["params"]
+        cfg = DriveConfig(b=p["b"], theta=0.0, phi_r=-p["phi"], omega=p["omega"], t_lr=p["t_lr"])
+        adiabatic = p["regime"] == "adiabatic"
+        assert len(doc["results"]["rows"]) == n
+        for row in doc["results"]["rows"]:
+            cell = replace(cfg, theta=row[0])
+            h = build_hamiltonian(cell, 0.0) if adiabatic else build_rotating_hamiltonian(cell)
+            try:
+                labelled = label_eigenstates(
+                    eigensystem(h), cell, "adiabatic" if adiabatic else "rotating"
+                )
+            except DrivenSpinError as exc:
+                assert row[-1] == type(exc).__name__
+                assert row[1:-1] == [None] * 12
+                failing.append(row[-1])
+                continue
+            assert row[-1] is None
+            for k, lab in enumerate(LABELS):
+                sz = geometry._sz_total(labelled.vector(lab))
+                want = fold_phase(2.0 * math.pi * sz - (math.pi if adiabatic else 0.0))
+                assert circular_distance(row[1 + 3 * k], want) <= 1e-12
+    if fails is not None:
+        assert bool(failing) == fails
 
 
 @st.composite

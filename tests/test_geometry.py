@@ -534,6 +534,40 @@ def _strip_matches_full_grid(n_theta, phi_r):
     assert 0 < failed < 20
 
 
+@pytest.mark.parametrize("tolerance,check", [
+    (None, None), (("LINK_TOL", 2.0), "vanishing"), (("FLUX_TOL", -1.0), "flux")
+], ids=["as-is", "every-link-vanishes", "no-flux-snaps"])
+def test_block_failures_are_the_one_drive_errors(monkeypatch, tolerance, check):
+    """Each failed cell of a block of drives carries the error, name and
+    message, that ``chern_lattice`` raises for that drive alone: every
+    labelling check (gap, closed-energy overflow, residual) and, with a
+    tolerance that no grid meets, the link or the flux check."""
+    if tolerance:
+        monkeypatch.setattr(geometry, *tolerance)
+    b = np.array([2.0, 1.5, 1e-300, 0.5, 1.0, 3.0, 1e-8, 2.0])
+    omega = np.array([2.0, 0.3, 1e10, 0.5, 4.0, 3.0, 1.0, 2.0 + 1e-12])
+    seen = set()
+    for t_lr, phi_r in [(1.0, -math.pi), (0.0, 0.0), (3e8, -math.pi), (1.0, 0.0)]:
+        block = DriveConfig(b=1.0, theta=0.0, phi_r=phi_r, t_lr=t_lr)
+        block.__dict__.update(b=b[:, None], omega=omega[:, None])  # unvalidated, as the scan's
+        c1, min_gap, failures = geometry._strip_chern(block, 100, 100)
+        for i in range(len(b)):
+            cfg = DriveConfig(b=b[i], theta=0.0, phi_r=phi_r, omega=omega[i], t_lr=t_lr)
+            one = _outcome(lambda: chern_lattice(cfg, 100, 100, "nonadiabatic"))
+            if not isinstance(one, tuple):
+                assert (i,) not in failures
+                assert c1[i].tolist() == [one.c1[lab] for lab in LABELS]
+                assert min_gap[i] == one.min_gap
+            else:
+                error = failures[(i,)]
+                # a block sums its flux in another order: its last bits may differ
+                got, want = (re.sub(r"flux total \S+", "", text) for text in (str(error), one[1]))
+                assert (type(error).__name__, got) == (one[0], want)
+                assert np.isnan(c1[i]).all()
+                seen.add(str(error).split()[0])
+    assert seen == {"eigenvalue", "closed-form", "numerical", check} - {None}
+
+
 class TestChernBlocks:
     @pytest.mark.parametrize("phi_r", [0.0, -math.pi], ids=["phi0", "phipi"])
     @pytest.mark.parametrize("regime", ["adiabatic", "nonadiabatic"])

@@ -12,11 +12,15 @@ Numbers are compared, not bytes, because last-bit float differences
 closed phase diagrams run no eigensolver, so their CSV, and the README
 diagram's JSON, are also compared byte for byte.
 
-Regenerate after an intended change of results with
+Regenerate the goldens of an intended change of results with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME ...
 
-and say in CHANGES.md why the numbers moved.
+where each NAME is a key of GOLDENS (``chern``, ``phase_diagram_lattice``,
+...) and names that golden's .json and .csv files; with no NAME every
+golden is written.  Record only what the change moves: on another host the
+eigensolver may round the last bits of the others differently.  Say in
+CHANGES.md why the numbers moved.
 """
 
 import io
@@ -63,13 +67,25 @@ LATTICE_DIAGRAM = [
     "--n-b", "10", "--n-omega", "10",
 ]
 
+#: Every golden by name: (command, the formats of its files).
+GOLDENS = {
+    **{name: (argv, ("json", "csv") if name in CSV_GOLDENS else ("json",))
+       for name, argv in README_COMMANDS.items()},
+    **{name: (argv, ("csv",)) for name, argv in EXTRA_CSV_COMMANDS.items()},
+    "phase_diagram_lattice": (LATTICE_DIAGRAM, ("json", "csv")),
+}
 
-def run_json(argv) -> dict:
+
+def run_text(argv) -> str:
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(list(argv))
     assert code == 0, f"{argv} exited {code}"
-    return json.loads(buf.getvalue())
+    return buf.getvalue()
+
+
+def run_json(argv) -> dict:
+    return json.loads(run_text(argv))
 
 
 def run_csv(argv, path) -> str:
@@ -141,17 +157,13 @@ def test_closed_phase_diagram_csv_is_byte_identical(name, tmp_path):
 
 
 def test_closed_phase_diagram_json_is_byte_identical():
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        assert main(README_COMMANDS["phase_diagram"]) == 0
-    assert buf.getvalue() == (GOLDEN_DIR / "phase_diagram.json").read_text()
+    assert run_text(README_COMMANDS["phase_diagram"]) == (
+        GOLDEN_DIR / "phase_diagram.json"
+    ).read_text()
 
 
 def test_lattice_phase_diagram_json_is_byte_identical():
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        assert main(LATTICE_DIAGRAM) == 0
-    assert buf.getvalue() == (GOLDEN_DIR / "phase_diagram_lattice.json").read_text()
+    assert run_text(LATTICE_DIAGRAM) == (GOLDEN_DIR / "phase_diagram_lattice.json").read_text()
 
 
 def test_lattice_phase_diagram_csv_is_byte_identical(tmp_path):
@@ -167,13 +179,11 @@ def test_closed_columns_are_bit_identical(name):
     form, so they are an independent reference for the array kernel; only
     the numerical columns may drift, within GOLDEN_ATOL.
     """
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        assert main(README_COMMANDS[name]) == 0
+    doc = run_text(README_COMMANDS[name])
     # numbers kept as their 17-digit texts, which round-trip every bit, sign of zero included
     want, got = (
         json.loads(text, parse_float=str, parse_int=str)["results"]
-        for text in ((GOLDEN_DIR / f"{name}.json").read_text(), buf.getvalue())
+        for text in ((GOLDEN_DIR / f"{name}.json").read_text(), doc)
     )
     assert got["columns"] == want["columns"]
     keep = [j for j, col in enumerate(want["columns"])
@@ -206,23 +216,48 @@ def test_comparison_is_strict_where_it_must_be():
             assert_matches(bad, doc)
 
 
+def record(names, directory=GOLDEN_DIR) -> list[Path]:
+    """Write the files of the named goldens, or of all GOLDENS if ``names`` is
+    empty, into ``directory``; return their paths."""
+    unknown = [name for name in names if name not in GOLDENS]
+    if unknown:
+        sys.exit(f"unknown golden {', '.join(unknown)}; the goldens are {', '.join(GOLDENS)}")
+    paths = []
+    for name in names or GOLDENS:
+        argv, formats = GOLDENS[name]
+        for fmt in formats:
+            paths.append(directory / f"{name}.{fmt}")
+            if fmt == "json":
+                paths[-1].write_text(run_text(argv))
+            else:
+                run_csv(argv, paths[-1])
+    return paths
+
+
+def test_record_writes_only_the_named_goldens(tmp_path):
+    assert record(["phase_diagram_lattice", "chern"], tmp_path) == [
+        tmp_path / "phase_diagram_lattice.json",
+        tmp_path / "phase_diagram_lattice.csv",
+        tmp_path / "chern.json",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "chern.json", "phase_diagram_lattice.csv", "phase_diagram_lattice.json"
+    ]
+    for path in tmp_path.iterdir():
+        if path.name != "chern.json":  # floats may move in their last bits
+            assert path.read_text() == (GOLDEN_DIR / path.name).read_text()
+    assert_matches(json.loads((tmp_path / "chern.json").read_text()),
+                   json.loads((GOLDEN_DIR / "chern.json").read_text()))
+    with pytest.raises(SystemExit, match="unknown golden berry"):
+        record(["berry"], tmp_path)
+
+
+def test_every_golden_file_is_recorded():
+    recorded = {f"{name}.{fmt}" for name, (_, formats) in GOLDENS.items() for fmt in formats}
+    assert recorded == {path.name for path in GOLDEN_DIR.iterdir()}
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in README_COMMANDS.items():
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            code = main(list(argv))
-        if code != 0:
-            sys.exit(f"{name}: exit {code}")
-        (GOLDEN_DIR / f"{name}.json").write_text(buf.getvalue())
-        print(f"wrote {GOLDEN_DIR / name}.json")
-    for name in CSV_GOLDENS:
-        run_csv(CSV_COMMANDS[name], GOLDEN_DIR / f"{name}.csv")
-        print(f"wrote {GOLDEN_DIR / name}.csv")
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        if main(LATTICE_DIAGRAM) != 0:
-            sys.exit("phase_diagram_lattice: nonzero exit")
-    (GOLDEN_DIR / "phase_diagram_lattice.json").write_text(buf.getvalue())
-    run_csv(LATTICE_DIAGRAM, GOLDEN_DIR / "phase_diagram_lattice.csv")
-    print(f"wrote {GOLDEN_DIR}/phase_diagram_lattice.json and .csv")
+    for path in record(sys.argv[1:]):
+        print(f"wrote {path}")

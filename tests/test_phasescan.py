@@ -445,6 +445,17 @@ def test_lattice_scan_matches_the_scalar_route(grid):
         assert cell == phasescan._scan_cell(cell.b, cell.omega, t_lr, phi, "lattice")
 
 
+def test_scan_records_a_flux_that_does_not_snap(monkeypatch):
+    """A cell whose labelled strip has a flux off an integer records the
+    NonConverged that ``chern_lattice`` raises for it, and no class: with a
+    flux tolerance that no grid meets, no cell of a 3x3 scan is classified."""
+    monkeypatch.setattr(geometry, "FLUX_TOL", -1.0)
+    cells = scan_diagram((0.5, 3.0), (0.0, 4.0), 1.0, math.pi, 3, 3, method="lattice")
+    assert {cell.error for cell in cells} == {"NonConverged"}
+    for cell in cells:
+        assert cell == phasescan._scan_cell(cell.b, cell.omega, 1.0, math.pi, "lattice")
+
+
 def _full_grid_outcome(b, omega, t_lr, phi):
     """The phase, or the error name, of one cell by the uncarried route: the
     full 100x100 cyclic-state grid summed by ``lattice_flux``, snapped to

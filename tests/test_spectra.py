@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 from itertools import permutations
@@ -342,6 +343,15 @@ class TestLabeling:
         es = eigensystem(build_hamiltonian(cfg_solved, 0.0))
         with pytest.raises(AmbiguousMatch):
             label_eigenstates(es, cfg_asked)
+
+
+@pytest.mark.parametrize("module", ["geometry", "phasescan", "cli"])
+def test_labelling_rule_lives_in_spectra(module):
+    """The labelling thresholds and the unchecked closed-energy table are read
+    only in ``spectra``; ``cli`` keeps the checked table for ``spectrum``."""
+    mod = importlib.import_module(f"drivenspin.{module}")
+    for name in ("DEGENERACY_FACTOR", "RESIDUAL_FACTOR", "_closed_energies"):
+        assert not hasattr(mod, name), f"drivenspin.{module}.{name}"
 
 
 def brute_force_labels(es, cfg, regime):
