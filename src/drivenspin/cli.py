@@ -16,6 +16,7 @@ is a fault of the program, not of its input, and is not caught.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -446,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_drive_flags(p)
     p.add_argument("--regime", choices=("adiabatic", "rotating"), default="adiabatic")
     p.add_argument("--theta-steps", dest="theta_steps", type=int, default=200)
-    p.set_defaults(handler=cmd_spectrum)
 
     p = sub.add_parser("berry", help="geometric phase curves vs theta")
     _add_drive_flags(p)
@@ -458,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--theta-max", dest="theta_max", type=parse_angle, default=math.pi - 0.02
     )
-    p.set_defaults(handler=cmd_berry)
 
     p = sub.add_parser("chern", help="per-band Chern numbers, both methods")
     _add_drive_flags(p)
@@ -467,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-theta", dest="n_theta", type=int, default=100)
     p.add_argument("--n-phi", dest="n_phi", type=int, default=100)
-    p.set_defaults(handler=cmd_chern)
 
     p = sub.add_parser("evolve", help="one-period phase extraction")
     _add_drive_flags(p)
@@ -475,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=int, choices=(-1, 1), default=1)
     p.add_argument("--m2", type=int, choices=(-1, 1), default=1)
     p.add_argument("--rk4-steps", dest="rk4_steps", type=int, default=2000)
-    p.set_defaults(handler=cmd_evolve)
 
     p = sub.add_parser("phase-diagram", help="classified (B, Omega) grid")
     p.add_argument("--b-min", dest="b_min", type=float, default=0.0)
@@ -487,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-lr", dest="t_lr", type=float, default=1.0)
     p.add_argument("--phi", type=parse_angle, default=math.pi)
     p.add_argument("--method", choices=("closed", "lattice"), default="closed")
-    p.set_defaults(handler=cmd_phase_diagram)
     return parser
 
 
@@ -500,8 +496,17 @@ def _error_record(name: str, message: str) -> str:
     )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built by the first; ``build_parser``
+    still returns a new parser, which its caller may change, and import builds none."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code; its handler ``cmd_<command>``
+    is looked up at call time, so a rebound handler is the one that runs."""
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         for flag, least in (("--threads", 1), ("--theta-steps", 1), ("--rk4-steps", 1000)):
@@ -524,7 +529,7 @@ def main(argv=None) -> int:
             value = getattr(args, flag[2:].replace("-", "_"), 0.0)
             if not 0.0 <= value <= math.pi:  # nan included
                 raise ValidationError(f"argument {flag}: must lie in [0, pi], got {value}")
-        _emit(args, *args.handler(args))
+        _emit(args, *globals()["cmd_" + args.command.replace("-", "_")](args))
     except DrivenSpinError as exc:
         print(_error_record(type(exc).__name__, str(exc)), file=sys.stderr)
         return 3

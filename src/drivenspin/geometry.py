@@ -378,7 +378,7 @@ def _wilson_band_phases(cfg: DriveConfig, n_steps: int):
         ring = _adiabatic_band_states(cfg, np.array([cfg.theta]), phis)[0][0]
         g = np.stack([wilson_loop_phase(ring[::m]) for m in (4, 2, 1)])
     except DrivenSpinError as exc:
-        return exc
+        return exc.with_traceback(None)  # its frames would keep the loop's arrays cached
     r_low, r_high = fold_phase(g[1:] + fold_phase(g[1:] - g[:-1]) / 3.0)  # pairwise
     return r_high, circular_distance(r_high, r_low)
 
@@ -640,16 +640,18 @@ def chern_lattice(
             try:
                 states, gap = _adiabatic_band_states(cfg, block, phis)
             except (DegenerateGap, AmbiguousMatch) as exc:
-                failures.append(exc)
+                failures.append(exc.with_traceback(None))  # its frames hold the block's solve
                 continue
             min_gap = min(min_gap, gap)
             if not failures:
                 try:
                     flux = flux + lattice_flux(states)
                 except NonConverged as exc:
-                    failures.append(exc)
+                    failures.append(exc.with_traceback(None))
+        states = None  # a raised error's traceback holds this frame: keep no block in it
         if failures:
-            raise min(failures, key=_failure_rank)
+            error, failures = min(failures, key=_failure_rank), None
+            raise error
         if (error := _flux_error(flux)) is not None:
             raise error
         c1 = np.round(flux)

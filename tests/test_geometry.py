@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import tracemalloc
@@ -181,6 +182,24 @@ class TestWilson:
             berry_phase_wilson(anti_phase(t_lr=0.6), 1.0, lab, n_steps=128)
         geometry._wilson_band_phases.cache_clear()
         assert [np.shape(h) for h in solves] == [(1, 256, 4, 4)]
+
+    def test_cached_failures_hold_no_frames(self):
+        # a cached error keeps no traceback, whose frames would hold its loop's
+        # arrays: 20 failing loops of 1024 points held 11.7 MB that way
+        geometry._wilson_band_phases.cache_clear()
+        cfg = DriveConfig(b=2.0, theta=0.0, t_lr=0.0)
+        tracemalloc.start()
+        try:
+            for k in range(20):
+                with pytest.raises(DegenerateGap):
+                    berry_phase_wilson(cfg, 0.3 + 0.01 * k, LABELS[0], n_steps=512)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            assert geometry._wilson_band_phases.cache_info().currsize == 20
+        finally:
+            tracemalloc.stop()
+            geometry._wilson_band_phases.cache_clear()
+        assert held < 2**20
 
     def test_raw_loop_second_order(self):
         # the plain overlap product converges as O(1/n^2)
