@@ -29,7 +29,7 @@ from . import geometry, phasescan
 from .errors import DrivenSpinError, NonConverged, ValidationError
 from .evolution import CyclicSystem, _rk4_error_estimate, propagator_rk4
 from .qmodel import LABELS, DriveConfig, StateLabel, _rotating_hamiltonian
-from .spectra import _closed_energy_table, _label_codes, _sector_roots, band_order, eigh_stack
+from .spectra import _closed_energy_table, _sector_roots, band_order, eigh_stack
 
 SCHEMA_VERSION = 1
 
@@ -290,15 +290,16 @@ def cmd_spectrum(args) -> tuple[tuple, dict]:
 
 def cmd_berry(args) -> tuple[tuple, dict]:
     """Geometric-phase curves vs theta: numerical route, closed form, difference,
-    from one solve of the sweep, labelled with each row a cell of ``_label_codes``.
+    from one labelled solve of the sweep, each row a cell of ``geometry._labelled``.
     A row names its first failing labelling check, or the last band whose closed form failed."""
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
     cfg = _config_from(args)
     adiabatic = args.regime == "adiabatic"
     rotating = replace(cfg, omega=0.0) if adiabatic else cfg  # adiabatic: a drive at rest
-    values, vectors = eigh_stack(_rotating_hamiltonian(rotating, thetas))
     table = "adiabatic" if adiabatic else "rotating"
-    order, _, residual, label_codes = _label_codes(cfg, table, values, thetas, 1)
+    vectors, _, residual, label_codes = geometry._labelled(
+        cfg, table, _rotating_hamiltonian(rotating, thetas), thetas, 1
+    )
     if np.all(np.isnan(residual)):  # no row has finite closed energies: refuse once
         _closed_energy_table(cfg, table, thetas)
     closed, codes = geometry._closed_phases(args.regime, *_sector_roots(cfg, args.regime, thetas))
@@ -306,7 +307,7 @@ def cmd_berry(args) -> tuple[tuple, dict]:
     names = [None, "DegenerateGap", "NonConverged", "AmbiguousMatch"]
     codes = np.where(label_codes[:, None] > 0, label_codes[:, None], codes)
     # the solid angle 2 pi <Sz_total>; a loop also carries U(2 pi) = -1, a cyclic state does not
-    sz = np.take_along_axis(geometry._sz_total(vectors.swapaxes(1, 2)), order, axis=-1)
+    sz = geometry._sz_total(vectors.swapaxes(1, 2))
     numeric = geometry.fold_phase(2.0 * math.pi * sz - (math.pi if adiabatic else 0.0))
     diff = geometry.circular_distance(numeric, closed)
     cells = np.stack([numeric, closed, diff], axis=-1).astype(object)

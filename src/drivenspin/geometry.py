@@ -62,7 +62,6 @@ from .qmodel import (
     _rotating_hamiltonian,
 )
 from .spectra import (
-    _label_bands,
     _label_codes,
     _label_error,
     _require_regime,
@@ -242,6 +241,18 @@ def _pole_rows(thetas) -> np.ndarray:
     return (thetas == 0.0) | (thetas == math.pi)
 
 
+def _labelled(cfg, table, h, theta, cells=0, where=None):
+    """One solve of the stack h (..., 4, 4), labelled by ``_label_codes`` with its first
+    ``cells`` axes cells: (vectors (..., 4, 4 labels) in LABELS order, gaps, residual,
+    codes).  Given ``where``, the stack is one cell, and a failing one raises its
+    ``_label_error``, ``where`` naming the grid point of its smallest gap."""
+    values, vectors = eigh_stack(h)
+    order, gaps, residual, codes = _label_codes(cfg, table, values, theta, cells)
+    if where is not None and codes:
+        raise _label_error(codes, cfg.b, gaps, residual, where)
+    return np.take_along_axis(vectors, order[..., None, :], axis=-1), gaps, residual, codes
+
+
 def _adiabatic_band_states(cfg, thetas, phis):
     """Labeled instantaneous eigenstates on a (theta, varphi) grid.
 
@@ -252,18 +263,13 @@ def _adiabatic_band_states(cfg, thetas, phis):
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
     h = _lab_hamiltonian(cfg, thetas[:, None], phis[None, :])
-    values, vectors = eigh_stack(h)
-    order, min_gap = _label_bands(
-        cfg,
-        "adiabatic",
-        values,
-        thetas[:, None],
-        lambda ix: f"theta={thetas[ix[0]]:.6f}, varphi={phis[ix[1]]:.6f}",
+    states, gaps, _, _ = _labelled(
+        cfg, "adiabatic", h, thetas[:, None],
+        where=lambda ix: f"theta={thetas[ix[0]]:.6f}, varphi={phis[ix[1]]:.6f}",
     )
-    states = np.take_along_axis(vectors, order[..., None, :], axis=-1)
     for i in np.nonzero(_pole_rows(thetas))[0]:
         states[i] = states[i, 0]
-    return states, min_gap
+    return states, float(np.min(gaps))
 
 
 def _rotating_band_vectors(cfg, thetas):
@@ -272,12 +278,9 @@ def _rotating_band_vectors(cfg, thetas):
     Returns (vectors, min_gap) with vectors shaped (n_theta, 4, 4 labels).
     """
     thetas = np.asarray(thetas, dtype=float)
-    h = _rotating_hamiltonian(cfg, thetas)
-    values, vectors = eigh_stack(h)
-    order, min_gap = _label_bands(
-        cfg, "rotating", values, thetas, lambda ix: f"theta={thetas[ix[0]]:.6f}"
-    )
-    return np.take_along_axis(vectors, order[..., None, :], axis=-1), min_gap
+    h, where = _rotating_hamiltonian(cfg, thetas), lambda ix: f"theta={thetas[ix[0]]:.6f}"
+    vectors, gaps, _, _ = _labelled(cfg, "rotating", h, thetas, where=where)
+    return vectors, float(np.min(gaps))
 
 
 def _rotating_band_states(cfg, thetas, phis):
@@ -332,9 +335,9 @@ def _strip_chern(cfg, n_theta: int, n_phi: int):
     arrays, so that no row is solved or labelled again.
     """
     thetas = np.linspace(0.0, math.pi, n_theta)
-    values, vectors = eigh_stack(_rotating_hamiltonian(cfg, thetas))
-    order, gaps, residual, codes = _label_codes(cfg, "rotating", values, thetas, values.ndim - 2)
-    links = _strip_links(np.take_along_axis(vectors, order[..., None, :], axis=-1), thetas, n_phi)
+    h = _rotating_hamiltonian(cfg, thetas)
+    vectors, gaps, residual, codes = _labelled(cfg, "rotating", h, thetas, h.ndim - 3)
+    links = _strip_links(vectors, thetas, n_phi)
     vanishing = ~(np.minimum(*(np.abs(link).min(axis=(-2, -1)) for link in links[:2])) >= LINK_TOL)
     codes = np.where((codes == 0) & vanishing, 4, codes)
     ok = codes == 0

@@ -5,7 +5,7 @@ by site-exchange sector blocks or by LAPACK; it reads no closed form, so it
 stays an independent route to the spectra.  The one band-labeling rule,
 ``_label_codes``, names the bands of a stack of spectra by (m1, m2) and codes
 the first failing check of each cell, whichever leading axes the caller
-takes as cells; ``_label_bands`` is its raising one-cell case.
+takes as cells; ``geometry._labelled`` is the one solve labelled by it.
 Every closed form, here and in ``geometry``, reads its sector parameter x
 and root from one kernel, ``_sector_roots``, on a float or an array of theta.
 """
@@ -356,7 +356,9 @@ def label_eigenstates(
     UnsupportedPhase
         Away from the phi in {0, pi} branches.
     """
-    order, _ = _label_bands(cfg, regime, es.values, cfg.theta)
+    order, gaps, residual, code = _label_codes(cfg, regime, es.values, cfg.theta, 0)
+    if code:
+        raise _label_error(code, cfg.b, gaps, residual)
     states = {
         lab: (float(es.values[order[k]]), es.vectors[:, order[k]].copy())
         for k, lab in enumerate(LABELS)
@@ -413,14 +415,6 @@ def _label_error(code, b, gaps, residual, where=None):
         )
     error.gap, error.residual = gap, worst
     return error
-
-
-def _label_bands(cfg, regime, values, theta, where=None):
-    """``_label_codes`` with the whole stack one cell: (order, min_gap), or its error raised."""
-    order, gaps, residual, code = _label_codes(cfg, regime, values, theta, 0)
-    if code:
-        raise _label_error(code, cfg.b, gaps, residual, where)
-    return order, float(np.min(gaps))
 
 
 def band_order(closed_values: np.ndarray) -> np.ndarray:
