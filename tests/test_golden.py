@@ -216,9 +216,36 @@ def test_comparison_is_strict_where_it_must_be():
             assert_matches(bad, doc)
 
 
+def _leaves(doc) -> list:
+    """The keys and values of a parsed document, depth first."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else [[item] for item in doc]
+        return [leaf for item in items for part in item for leaf in _leaves(part)]
+    return [doc]
+
+
+def moved(old: str, new: str, fmt: str) -> str:
+    """What rewriting a golden's ``old`` text as ``new`` moved: the count of numeric
+    cells that changed, and their largest absolute and relative move, relative to
+    the larger magnitude; or that some other cell or the structure changed."""
+    leaves = [_leaves(json.loads(t) if fmt == "json" else csv_cells(t)) for t in (old, new)]
+    pairs = [(a, b) for a, b in zip(*leaves) if a != b]
+    number = (int, float)
+    if len(leaves[0]) != len(leaves[1]) or not all(
+        isinstance(v, number) and not isinstance(v, bool) for pair in pairs for v in pair
+    ):
+        return "structure or non-numeric cells changed"
+    if not pairs:
+        return "nothing moved"
+    steps = [(abs(b - a), abs(b - a) / max(abs(a), abs(b))) for a, b in pairs]
+    return (f"{len(pairs)} of {len(leaves[0])} cells moved, all numeric, by at most "
+            f"{max(s[0] for s in steps):.3g} absolute and {max(s[1] for s in steps):.3g} relative")
+
+
 def record(names, directory=GOLDEN_DIR) -> list[Path]:
     """Write the files of the named goldens, or of all GOLDENS if ``names`` is
-    empty, into ``directory``; return their paths."""
+    empty, into ``directory``; return their paths.  For each file it rewrites it
+    prints what ``moved``."""
     unknown = [name for name in names if name not in GOLDENS]
     if unknown:
         sys.exit(f"unknown golden {', '.join(unknown)}; the goldens are {', '.join(GOLDENS)}")
@@ -226,11 +253,15 @@ def record(names, directory=GOLDEN_DIR) -> list[Path]:
     for name in names or GOLDENS:
         argv, formats = GOLDENS[name]
         for fmt in formats:
-            paths.append(directory / f"{name}.{fmt}")
+            path = directory / f"{name}.{fmt}"
+            old = path.read_text() if path.exists() else None
             if fmt == "json":
-                paths[-1].write_text(run_text(argv))
+                path.write_text(run_text(argv))
             else:
-                run_csv(argv, paths[-1])
+                run_csv(argv, path)
+            if old is not None:
+                print(f"{path.name}: {moved(old, path.read_text(), fmt)}")
+            paths.append(path)
     return paths
 
 
@@ -250,6 +281,33 @@ def test_record_writes_only_the_named_goldens(tmp_path):
                    json.loads((GOLDEN_DIR / "chern.json").read_text()))
     with pytest.raises(SystemExit, match="unknown golden berry"):
         record(["berry"], tmp_path)
+
+
+def test_record_reports_what_moved(tmp_path, capsys):
+    """Rewriting a copy with one perturbed number reports that one cell and its move."""
+    name = "phase_diagram_lattice"
+    doc = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    doc["results"]["rows"][1][5] += 0.5  # a boundary_distance, 2.666666666666667
+    (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    (tmp_path / f"{name}.csv").write_text((GOLDEN_DIR / f"{name}.csv").read_text())
+    record([name], tmp_path)
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}.json: 1 of {len(_leaves(doc))} cells moved, all numeric, "
+        "by at most 0.5 absolute and 0.158 relative",
+        f"{name}.csv: nothing moved",
+    ]
+
+
+@pytest.mark.parametrize("old, new, report", [
+    ('{"a": [1, 0.5]}', '{"a": [1, 0.25]}', "1 of 3 cells moved, all numeric, by at most "
+                                            "0.25 absolute and 0.5 relative"),
+    ('{"a": [1, 0.5]}', '{"a": [1, 0.5]}', "nothing moved"),
+    ('{"a": [1, 0.5]}', '{"a": [1, 0.5, 2]}', "structure or non-numeric cells changed"),
+    ('{"a": [1, "x"]}', '{"a": [1, "y"]}', "structure or non-numeric cells changed"),
+    ('{"a": [0]}', '{"b": [0]}', "structure or non-numeric cells changed"),
+])
+def test_moved_names_numeric_moves_only(old, new, report):
+    assert moved(old, new, "json") == report
 
 
 def test_every_golden_file_is_recorded():
