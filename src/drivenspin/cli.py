@@ -296,10 +296,8 @@ def cmd_berry(args) -> tuple[tuple, dict]:
     cfg = _config_from(args)
     adiabatic = args.regime == "adiabatic"
     rotating = replace(cfg, omega=0.0) if adiabatic else cfg  # adiabatic: a drive at rest
-    table = "adiabatic" if adiabatic else "rotating"
-    vectors, _, residual, label_codes = geometry._labelled(
-        cfg, table, _rotating_hamiltonian(rotating, thetas), thetas, 1
-    )
+    h, table = _rotating_hamiltonian(rotating, thetas), "adiabatic" if adiabatic else "rotating"
+    vectors, _, residual, label_codes = geometry._labelled(cfg, table, h, thetas, 1)
     if np.all(np.isnan(residual)):  # no row has finite closed energies: refuse once
         _closed_energy_table(cfg, table, thetas)
     closed, codes = geometry._closed_phases(args.regime, *_sector_roots(cfg, args.regime, thetas))

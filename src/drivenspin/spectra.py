@@ -33,8 +33,8 @@ DEGENERACY_FACTOR = 1e-6
 #: RESIDUAL_FACTOR * b from its sorted closed-form energy (AmbiguousMatch).
 RESIDUAL_FACTOR = 1e-8
 
-#: Below this value of sqrt(1 + x^2 - 2 x cos(theta)) a closed-form branch
-#: sits on a band touching and the corresponding quantity is undefined.
+#: Below this value of sqrt(d), the root of ``_sector_roots``, a closed-form
+#: branch sits on a band touching and the corresponding quantity is undefined.
 ROOT_TOL = 1e-9
 
 #: m1 and m2 of the four labels, in LABELS order.
@@ -270,11 +270,14 @@ def _sector_roots(cfg: DriveConfig, regime: str, theta):
     LABELS order at theta, a float or an array; m1 is (4,), x the shape of
     cfg.b (a float, or an array that broadcasts against theta) + (4,),
     cos(theta) theta.shape + (1,), and d = 1 + x^2 - 2 x cos(theta) their
-    broadcast.  ``_root_codes`` names where d fails."""
+    broadcast, summed as (1 - |x|)^2 + 4 |x| h^2 with h = sin(theta/2), or
+    cos(theta/2) where x < 0: no cancellation where |x| -> 1 and cos(theta)
+    -> sign(x), as in the expanded form.  ``_root_codes`` names where d fails."""
     x = np.where(_M2 > 0, *np.asarray(_sector_parameters(cfg, regime))[..., None])
-    c = np.cos(np.asarray(theta, dtype=float))[..., None]
+    t = np.asarray(theta, dtype=float)[..., None]
+    h, ax = np.where(x >= 0.0, np.sin(0.5 * t), np.cos(0.5 * t)), np.abs(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _M1, x, c, 1.0 + x * x - 2.0 * x * c
+        return _M1, x, np.cos(t), (1.0 - ax) ** 2 + 4.0 * ax * h * h
 
 
 def _root_codes(d):

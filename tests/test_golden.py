@@ -175,9 +175,11 @@ def test_lattice_phase_diagram_csv_is_byte_identical(tmp_path):
 def test_closed_columns_are_bit_identical(name):
     """The theta and closed-form columns equal the golden ones bit for bit.
 
-    The goldens were recorded by a per-row scalar evaluation of each closed
-    form, so they are an independent reference for the array kernel; only
-    the numerical columns may drift, within GOLDEN_ATOL.
+    The goldens are recorded through the CLI, so their closed columns are the
+    array kernel's own output: this pins the kernel against drift, it is not
+    an independent reference.  Their accuracy is checked against 50-digit
+    arithmetic when they move (CHANGES.md).  Only the numerical columns may
+    drift, within GOLDEN_ATOL.
     """
     doc = run_text(README_COMMANDS[name])
     # numbers kept as their 17-digit texts, which round-trip every bit, sign of zero included
