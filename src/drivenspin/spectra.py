@@ -271,8 +271,8 @@ def _sector_roots(cfg: DriveConfig, regime: str, theta):
     cfg.b (a float, or an array that broadcasts against theta) + (4,),
     cos(theta) theta.shape + (1,), and d = 1 + x^2 - 2 x cos(theta) their
     broadcast, summed as (1 - |x|)^2 + 4 |x| h^2 with h = sin(theta/2), or
-    cos(theta/2) where x < 0: no cancellation where |x| -> 1 and cos(theta)
-    -> sign(x), as in the expanded form.  ``_root_codes`` names where d fails."""
+    cos(theta/2) where x < 0, which keeps its accuracy where the expanded form
+    cancels: |x| -> 1 with cos(theta) -> sign(x).  ``_root_codes`` names where d fails."""
     x = np.where(_M2 > 0, *np.asarray(_sector_parameters(cfg, regime))[..., None])
     t = np.asarray(theta, dtype=float)[..., None]
     h, ax = np.where(x >= 0.0, np.sin(0.5 * t), np.cos(0.5 * t)), np.abs(x)

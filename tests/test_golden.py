@@ -220,9 +220,10 @@ def test_comparison_is_strict_where_it_must_be():
 
 def _leaves(doc) -> list:
     """The keys and values of a parsed document, depth first."""
-    if isinstance(doc, (dict, list)):
-        items = doc.items() if isinstance(doc, dict) else [[item] for item in doc]
-        return [leaf for item in items for part in item for leaf in _leaves(part)]
+    if isinstance(doc, dict):
+        return [leaf for pair in doc.items() for part in pair for leaf in _leaves(part)]
+    if isinstance(doc, list):
+        return [leaf for item in doc for leaf in _leaves(item)]
     return [doc]
 
 
@@ -232,9 +233,8 @@ def moved(old: str, new: str, fmt: str) -> str:
     the larger magnitude; or that some other cell or the structure changed."""
     leaves = [_leaves(json.loads(t) if fmt == "json" else csv_cells(t)) for t in (old, new)]
     pairs = [(a, b) for a, b in zip(*leaves) if a != b]
-    number = (int, float)
     if len(leaves[0]) != len(leaves[1]) or not all(
-        isinstance(v, number) and not isinstance(v, bool) for pair in pairs for v in pair
+        isinstance(v, (int, float)) and not isinstance(v, bool) for pair in pairs for v in pair
     ):
         return "structure or non-numeric cells changed"
     if not pairs:
